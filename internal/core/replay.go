@@ -90,13 +90,15 @@ func (r *traceRun) done() bool { return r.endSeen || r.broken }
 // runs are live at a time but thousands start per simulation, so pooling
 // them keeps replay allocation-free in steady state.
 func (c *Core) newRun(r Reader, startSeq, startPC uint64, blockedUntil int64) *traceRun {
-	run := &traceRun{}
+	var run *traceRun
 	if n := len(c.runPool); n > 0 {
 		run = c.runPool[n-1]
 		c.runPool = c.runPool[:n-1]
 		buffered, recs, dests, fus := run.buffered[:0], run.unit.recs[:0], run.unit.dests[:0], run.unit.fus[:0]
 		*run = traceRun{buffered: buffered}
 		run.unit.recs, run.unit.dests, run.unit.fus = recs, dests, fus
+	} else {
+		run = &traceRun{}
 	}
 	run.reader, run.startSeq, run.startPC, run.blockedUntil = r, startSeq, startPC, blockedUntil
 	return run

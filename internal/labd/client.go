@@ -189,7 +189,10 @@ var errResumable = errors.New("")
 func decodeSweepStream(body io.Reader, n int) ([]SweepLine, error) {
 	lines := make([]SweepLine, 0, n)
 	sc := bufio.NewScanner(body)
-	sc.Buffer(make([]byte, 0, 1<<20), 64<<20) // results with full stats are large
+	// Results with full stats run to a few KiB per line; the scanner grows
+	// its buffer from 4 KiB only for longer lines, up to 64 MiB, so a
+	// short reply does not pay for a large buffer up front.
+	sc.Buffer(nil, 64<<20)
 	for sc.Scan() {
 		if len(bytes.TrimSpace(sc.Bytes())) == 0 {
 			continue

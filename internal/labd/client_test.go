@@ -53,6 +53,8 @@ func TestSweepStreamRobustness(t *testing.T) {
 		{"empty stream", "", "truncated"},
 		{"extra trailing line", line0 + "\n" + line1 + "\n" + `{"index":2,"key":"k2","result":{}}` + "\n", "overran"},
 		{"garbage line", line0 + "\nnot json\n", "bad line"},
+		{"multi-MiB line under the cap",
+			`{"index":0,"key":"k0","pad":"` + strings.Repeat("a", 3<<20) + `","result":{}}` + "\n" + line1 + "\n", ""},
 		{"oversized single line at the 64 MiB cap",
 			`{"index":0,"key":"` + strings.Repeat("a", 64<<20) + `"}` + "\n", "stream"},
 	}

@@ -364,42 +364,55 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 	// Fan the batch across a bounded pool through the shared cache; each
 	// job's outcome lands in its own single-slot channel so the writer can
-	// stream strictly in job order while later jobs keep computing. The
-	// request context gates every stage: a disconnected client's unstarted
-	// jobs are skipped before they can claim a semaphore slot or a
-	// simulation, so a canceled 65k-job batch stops consuming the
-	// service-wide GOMAXPROCS budget almost immediately. Jobs that already
-	// started simulating run to completion and land in the shared cache.
+	// stream strictly in job order while later jobs keep computing. Jobs
+	// start in job order too — a dispatcher takes the per-request slots
+	// one job at a time — so the head of the stream is computed first and
+	// lines flow as they finish instead of waiting on whichever jobs the
+	// scheduler happened to start last. The request context gates every
+	// stage: a disconnected client's unstarted jobs are skipped before
+	// they can claim a semaphore slot or a simulation, so a canceled
+	// 65k-job batch stops consuming the service-wide GOMAXPROCS budget
+	// almost immediately. Jobs that already started simulating run to
+	// completion and land in the shared cache.
 	ctx := r.Context()
 	type outcome struct {
 		res sim.Result
 		err error
 	}
 	ready := make([]chan outcome, len(req.Jobs))
-	reqSem := make(chan struct{}, workers)
-	for i := range req.Jobs {
+	for i := range ready {
 		ready[i] = make(chan outcome, 1)
-		go func(i int) {
+	}
+	cancelFrom := func(i int) {
+		for ; i < len(req.Jobs); i++ {
+			s.canceledJobs.Add(1)
+			ready[i] <- outcome{err: ctx.Err()}
+		}
+	}
+	reqSem := make(chan struct{}, workers)
+	go func() {
+		for i := range req.Jobs {
 			select {
 			case reqSem <- struct{}{}:
 			case <-ctx.Done():
-				s.canceledJobs.Add(1)
-				ready[i] <- outcome{err: ctx.Err()}
+				cancelFrom(i)
 				return
 			}
-			defer func() { <-reqSem }()
-			select {
-			case s.sem <- struct{}{}:
-			case <-ctx.Done():
-				s.canceledJobs.Add(1)
-				ready[i] <- outcome{err: ctx.Err()}
-				return
-			}
-			defer func() { <-s.sem }()
-			res, err := s.cache.DoContext(ctx, req.Jobs[i])
-			ready[i] <- outcome{res, err}
-		}(i)
-	}
+			go func(i int) {
+				defer func() { <-reqSem }()
+				select {
+				case s.sem <- struct{}{}:
+				case <-ctx.Done():
+					s.canceledJobs.Add(1)
+					ready[i] <- outcome{err: ctx.Err()}
+					return
+				}
+				defer func() { <-s.sem }()
+				res, err := s.cache.DoContext(ctx, req.Jobs[i])
+				ready[i] <- outcome{res, err}
+			}(i)
+		}
+	}()
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)

@@ -19,7 +19,8 @@ import (
 // (instructions simulated in detail versus stream length) — wall-clock in
 // a shared CI container is too noisy to gate tightly, so elapsed time only
 // has to clear a generous 3x floor per cell; the measured speedups are
-// logged for the record.
+// logged for the record. Each side's time is its best of scaleRepeats
+// interleaved runs.
 func TestSampledScale(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("scale measurement runs without -short/-race")
@@ -41,25 +42,29 @@ func TestSampledScale(t *testing.T) {
 			Workload: c.wl, Arch: c.arch, Node: cacti.Node130,
 			FEBoostPct: 50, BEBoostPct: 50, MaxInstructions: insts,
 		}
-		if _, err := Run(cfg); err != nil { // prime snapshot + trace caches
-			t.Fatal(err)
-		}
-		start := time.Now()
-		exact, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		exactDur := time.Since(start)
-
 		scfg := cfg
 		// The shipped default schedule — the one -tier sampled runs.
 		scfg.Sampling = Sampling{Period: sample.DefaultPeriod}
-		start = time.Now()
-		sampled, err := Run(scfg)
-		if err != nil {
+		if _, err := Run(cfg); err != nil { // prime snapshot + trace caches
 			t.Fatal(err)
 		}
-		sampledDur := time.Since(start)
+		// Exact and sampled runs alternate, and each side keeps its fastest
+		// of scaleRepeats timings, so a burst of host contention slows at
+		// most a few runs of either side instead of one whole side.
+		var exact, sampled Result
+		exactDur, sampledDur := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+		for range scaleRepeats {
+			var err error
+			var d time.Duration
+			if exact, d, err = timedRun(cfg); err != nil {
+				t.Fatal(err)
+			}
+			exactDur = min(exactDur, d)
+			if sampled, d, err = timedRun(scfg); err != nil {
+				t.Fatal(err)
+			}
+			sampledDur = min(sampledDur, d)
+		}
 
 		st := sampled.Sampled
 		if st == nil || st.Windows < 3 {
@@ -92,4 +97,14 @@ func TestSampledScale(t *testing.T) {
 	if mean := sumEErr / n; mean > 3 {
 		t.Errorf("suite-mean |energy error| %.2f%% exceeds 3%%", mean)
 	}
+}
+
+// scaleRepeats is how many timed runs TestSampledScale makes per side.
+const scaleRepeats = 3
+
+// timedRun runs cfg and reports its wall-clock time.
+func timedRun(cfg RunConfig) (Result, time.Duration, error) {
+	start := time.Now()
+	r, err := Run(cfg)
+	return r, time.Since(start), err
 }

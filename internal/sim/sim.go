@@ -178,6 +178,13 @@ func Run(cfg RunConfig) (Result, error) {
 	if cfg.Sampling.Enabled() {
 		return runSampled(cfg, w, ws)
 	}
+	return runExact(cfg, w, ws, nil)
+}
+
+// runExact simulates the normalized cfg exactly over w, warmed from ws.
+// editMem, when non-nil, edits the modelled memory hierarchy before the
+// core is built (the warm-log exactness tests vary cache line sizes).
+func runExact(cfg RunConfig, w *workload.Workload, ws *warmSnapshot, editMem func(*mem.HierarchyConfig)) (Result, error) {
 	// The instruction stream comes from the trace cache: the first run of a
 	// workload records the functional emulator's output while consuming it,
 	// later runs replay the recording (see tracecache.go).
@@ -213,6 +220,9 @@ func Run(cfg RunConfig) (Result, error) {
 		switch cfg.Arch {
 		case ArchBaseline:
 			bc := baselineConfig(cfg, period)
+			if editMem != nil {
+				editMem(&bc.Mem)
+			}
 			c := ooo.New(bc, stream)
 			if err := ws.warm(c.Warmer(), w, bc.Mem, bc.Branch); err != nil {
 				return err
@@ -235,6 +245,9 @@ func Run(cfg RunConfig) (Result, error) {
 			res.Baseline = &stats
 		case ArchFlywheel, ArchRegAlloc:
 			fc := flywheelConfig(cfg, period)
+			if editMem != nil {
+				editMem(&fc.Mem)
+			}
 			c := core.New(fc, stream)
 			if err := ws.warm(c.Warmer(), w, fc.Mem, fc.Branch); err != nil {
 				return err

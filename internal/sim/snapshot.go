@@ -20,8 +20,9 @@ import (
 // grid point of every sweep. Now the first run executes initialization
 // once, recording the warm observations and capturing the architectural
 // state as a copy-on-write snapshot; every later run clones the snapshot
-// (an O(pages-touched-later) copy-on-write clone) and replays the recorded
-// observations into its own warmer, never touching the functional
+// (an O(pages-touched-later) copy-on-write clone) and copies its caches and
+// predictor from warmed templates, built once per configuration by
+// replaying the recorded log, never touching the functional
 // initialization path again.
 //
 // The cache is bounded: entry-count and byte caps evict complete entries
@@ -32,13 +33,18 @@ import (
 // the next request, and concurrent holders of the evicted entry keep their
 // references.
 
-// SnapshotCachePolicy bounds the warm-snapshot cache.
+// SnapshotCachePolicy bounds the warm-snapshot cache. The bounds cover the
+// cache's own references only: a registered workload also holds its
+// snapshot and warm log (workload.WarmState keeps them for the life of the
+// process), so evicting its entry frees neither, and the warmed hierarchy
+// and predictor templates live until ResetSnapshotCache. Eviction frees
+// the entries of ad-hoc programs (RunSource), which nothing else holds.
 type SnapshotCachePolicy struct {
 	// MaxEntries caps the number of cached snapshots; zero or negative
 	// means DefaultSnapshotMaxEntries.
 	MaxEntries int
 	// MaxBytes caps the estimated resident footprint (frozen memory pages
-	// plus recorded warm observations); zero or negative means
+	// plus the warm log's bytes); zero or negative means
 	// DefaultSnapshotMaxBytes.
 	MaxBytes int64
 }
@@ -84,7 +90,7 @@ type warmSnapshot struct {
 func (ws *warmSnapshot) bytes() int64 {
 	b := int64(ws.snap.MemPages()) * 4096
 	if ws.log != nil {
-		b += int64(ws.log.Len()) * 48 // sizeof(emu.Trace), near enough
+		b += ws.log.Bytes()
 	}
 	return b
 }
@@ -253,61 +259,67 @@ func sourceSnapshot(name, source string) (*warmSnapshot, error) {
 // machine clones a runnable functional machine from the snapshot.
 func (ws *warmSnapshot) machine() *emu.Machine { return ws.snap.NewMachine() }
 
-// warmState is a fully warmed predictor + cache hierarchy, built once per
-// (workload, hierarchy config, predictor config) by replaying the recorded
-// warm log, then copied into each run's core as a pair of memcpys.
-type warmState struct {
-	pred *branch.Predictor
-	hier *mem.Hierarchy
-}
+// The warmed templates: a cache hierarchy per (workload, hierarchy
+// config) and a branch predictor per (workload, predictor config), each
+// built once by replaying its own events of the warm log, then copied into
+// every run's core. The split is exact because warming updates the caches
+// and the predictor independently, and it means a grid of H hierarchies
+// by P predictors replays H + P half-logs instead of H x P whole ones.
+type (
+	hierKey struct {
+		workload string
+		cfg      mem.HierarchyConfig
+	}
+	predKey struct {
+		workload string
+		cfg      branch.Config
+	}
+)
 
-type warmStateKey struct {
-	workload string
-	hier     mem.HierarchyConfig
-	branch   branch.Config
-}
+var hierTemplates, predTemplates sync.Map // hierKey -> *template[*mem.Hierarchy], predKey -> *template[*branch.Predictor]
 
-type warmStateEntry struct {
+// template is one warmed structure, built at most once.
+type template[T any] struct {
 	once sync.Once
-	st   *warmState
+	v    T
 }
 
-var warmStates sync.Map // warmStateKey -> *warmStateEntry
+// cachedTemplate returns the template stored under key in m, building it
+// on first use.
+func cachedTemplate[K comparable, T any](m *sync.Map, key K, build func() T) T {
+	e, _ := m.LoadOrStore(key, &template[T]{})
+	t := e.(*template[T])
+	t.once.Do(func() { t.v = build() })
+	return t.v
+}
 
-// resetWarmStates drops the warmed-state templates (paired with
+// resetWarmStates drops the warmed templates (paired with
 // ResetSnapshotCache).
 func resetWarmStates() {
-	warmStates.Range(func(k, _ any) bool {
-		warmStates.Delete(k)
-		return true
-	})
-}
-
-// template returns the warmed predictor/hierarchy template for the given
-// configuration, replaying the log at most once per configuration.
-func (ws *warmSnapshot) template(w *workload.Workload, hierCfg mem.HierarchyConfig, branchCfg branch.Config) *warmState {
-	key := warmStateKey{workload: w.Name, hier: hierCfg, branch: branchCfg}
-	e, _ := warmStates.LoadOrStore(key, &warmStateEntry{})
-	entry := e.(*warmStateEntry)
-	entry.once.Do(func() {
-		st := &warmState{pred: branch.New(branchCfg), hier: mem.NewHierarchy(hierCfg)}
-		ws.log.Replay(pipe.NewWarmer(st.pred, st.hier))
-		entry.st = st
-	})
-	return entry.st
+	hierTemplates.Clear()
+	predTemplates.Clear()
 }
 
 // warm seeds a core's caches and branch predictor with the workload's
-// initialization-phase observations: a state copy from the warmed template
-// when the log was recorded, or a functional re-execution fallback (the
-// pre-cache behaviour) when it overflowed.
+// initialization-phase observations: a state copy from the warmed
+// templates when the log was recorded, or a functional re-execution
+// fallback (the pre-cache behaviour) when it could not be.
 func (ws *warmSnapshot) warm(warmer *pipe.Warmer, w *workload.Workload, hierCfg mem.HierarchyConfig, branchCfg branch.Config) error {
 	if w == nil || w.WarmAddr() == 0 {
 		return nil
 	}
 	if ws.log != nil {
-		st := ws.template(w, hierCfg, branchCfg)
-		warmer.SeedFrom(st.pred, st.hier)
+		hier := cachedTemplate(&hierTemplates, hierKey{w.Name, hierCfg}, func() *mem.Hierarchy {
+			h := mem.NewHierarchy(hierCfg)
+			ws.log.ReplayHierarchy(h)
+			return h
+		})
+		pred := cachedTemplate(&predTemplates, predKey{w.Name, branchCfg}, func() *branch.Predictor {
+			p := branch.New(branchCfg)
+			ws.log.ReplayPredictor(p)
+			return p
+		})
+		warmer.SeedFrom(pred, hier)
 		return nil
 	}
 	wm := emu.New(w.Program())

@@ -77,8 +77,9 @@ func (w *Workload) WarmAddr() uint64 {
 
 // WarmState executes the initialization phase once per process and returns
 // the frozen architectural state at the warm point plus the recorded warm
-// observations. The log is nil when initialization was too long to record
-// (pipe.MaxWarmLogRecords); callers then fall back to functional
+// observations, compacted to the events warming acts on (see pipe.WarmLog).
+// The log is nil when initialization could not be recorded
+// (pipe.WarmLog.Overflowed); callers then fall back to functional
 // re-execution for warming. The snapshot is shared: clone it (NewMachine)
 // rather than mutating it.
 func (w *Workload) WarmState() (*emu.Snapshot, *pipe.WarmLog, error) {
