@@ -13,12 +13,10 @@
 //	  {"Workload":"gcc","Arch":1,"FEBoostPct":50,"BEBoostPct":50,
 //	   "MaxInstructions":300000}]}'
 //	curl -s 'localhost:8080/v1/frontier?ilp=1,6&fe=0,50,100&n=20000'
+//	curl -s -X POST localhost:8080/v1/scrub
 //
-// As one worker of a labcoord cluster, give each process its own shard of
-// a shared store root:
-//
-//	labd -addr 127.0.0.1:8081 -store /srv/flywheel -shard 0
-//	labd -addr 127.0.0.1:8082 -store /srv/flywheel -shard 1
+// labd -store DIR -scrub audits the store offline instead of serving:
+// corrupt files move to DIR/quarantine, and finding any exits 3.
 //
 // SIGINT/SIGTERM drain gracefully: in-flight sweeps finish streaming
 // (bounded by -drain) before the process exits. See DESIGN.md for the
@@ -59,7 +57,6 @@ func run(args []string, stdout, stderr io.Writer, ctl *control) int {
 	var (
 		addr     = fs.String("addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks a free port)")
 		storeDir = fs.String("store", "", "persistent result-store directory (empty = memory only; results die with the process)")
-		shard    = fs.Int("shard", -1, "shard index: open <store>/shard-<n> instead of <store> (requires -store; for labcoord clusters)")
 		drain    = fs.Duration("drain", 30*time.Second, "graceful-shutdown deadline for in-flight requests on SIGINT/SIGTERM")
 		scrub    = fs.Bool("scrub", false, "one-shot integrity audit: verify the store and trace spill, quarantine corrupt files, exit (0 clean, 3 corruption found; requires -store)")
 	)
@@ -70,10 +67,6 @@ func run(args []string, stdout, stderr io.Writer, ctl *control) int {
 		fmt.Fprintf(stderr, "labd: unexpected arguments %v\n", fs.Args())
 		return 2
 	}
-	if *shard >= 0 && *storeDir == "" {
-		fmt.Fprintln(stderr, "labd: -shard requires -store")
-		return 2
-	}
 	if *scrub && *storeDir == "" {
 		fmt.Fprintln(stderr, "labd: -scrub requires -store")
 		return 2
@@ -81,20 +74,15 @@ func run(args []string, stdout, stderr io.Writer, ctl *control) int {
 
 	cache := lab.NewCache()
 	if *storeDir != "" {
-		dir := *storeDir
-		if *shard >= 0 {
-			dir = store.ShardDir(dir, *shard)
-		}
-		st, err := store.Open(dir)
+		st, err := store.Open(*storeDir)
 		if err != nil {
 			fmt.Fprintln(stderr, "labd:", err)
 			return 1
 		}
 		cache = lab.NewCacheWithStore(st)
 		// Persist recorded dynamic traces next to the results: a restarted
-		// service replays from disk without re-emulating anything. Sharded
-		// workers spill under their own shard directory.
-		sim.SetTraceSpillDir(filepath.Join(dir, "traces"))
+		// service replays from disk without re-emulating anything.
+		sim.SetTraceSpillDir(filepath.Join(*storeDir, "traces"))
 		fmt.Fprintf(stdout, "labd: store %s (version %s)\n", st.Dir(), store.Version())
 	}
 

@@ -142,32 +142,10 @@ func TestShutdownDrainsInFlightSweep(t *testing.T) {
 	}
 }
 
-// TestShardFlag: -shard opens <store>/shard-<n>, giving each cluster
-// worker a disjoint store and trace-spill directory.
-func TestShardFlag(t *testing.T) {
-	root := t.TempDir()
-	base, stop := startLabd(t, "-store", root, "-shard", "2")
-	body := `{"jobs":[{"Workload":"ijpeg","Arch":0,"MaxInstructions":2000}]}`
-	resp, err := http.Post(base+"/v1/sweep", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	stop()
-	entries, err := os.ReadDir(filepath.Join(root, "shard-002"))
-	if err != nil || len(entries) == 0 {
-		t.Fatalf("shard directory not populated: %v (entries %d)", err, len(entries))
-	}
-	if _, err := os.Stat(filepath.Join(root, "shard-000")); err == nil {
-		t.Fatal("wrong shard directory created")
-	}
-}
-
 func TestBadFlags(t *testing.T) {
 	cases := [][]string{
 		{"-definitely-not-a-flag"},
 		{"stray-positional"},
-		{"-shard", "0"}, // -shard without -store
 	}
 	for _, args := range cases {
 		var out, errb bytes.Buffer

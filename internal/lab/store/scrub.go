@@ -10,7 +10,7 @@ import (
 	"time"
 )
 
-// Scrub proactively audits the shard the way Get would only ever do
+// Scrub proactively audits the store the way Get would only ever do
 // lazily, one key at a time: it walks every entry of the current version
 // (and, optionally, the trace spill directory) and verifies the full
 // integrity chain — parseable JSON, version stamp, key-to-address match

@@ -13,7 +13,6 @@ import (
 	"sync"
 	"testing"
 
-	"flywheel/internal/chaos"
 	"flywheel/internal/trace"
 )
 
@@ -56,7 +55,7 @@ func writeMinimalSpill(t *testing.T, path string) {
 	}
 }
 
-// TestScrubHealthyStore: a clean shard scrubs clean.
+// TestScrubHealthyStore: a clean store scrubs clean.
 func TestScrubHealthyStore(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
@@ -76,14 +75,30 @@ func TestScrubHealthyStore(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(s.QuarantineDir(), "MANIFEST.ndjson")); !os.IsNotExist(err) {
 		t.Fatal("clean scrub wrote a manifest")
 	}
+
+	// Planting at a vanishing fraction still damages exactly one file (so
+	// a scrub test can never pass vacuously), and the scrub takes it.
+	one, err := corruptTree(s.Dir(), 5, 1e-12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(one) != 1 {
+		t.Fatalf("frac 1e-12 corrupted %d files, want exactly the guaranteed one", len(one))
+	}
+	rep, err = s.Scrub(ScrubOptions{TraceDir: traces, VerifyTrace: trace.VerifySpillFile})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Bad() != 1 || rep.Quarantined[0].Path != one[0].Path {
+		t.Fatalf("scrub after one planted %s: %+v", one[0].Path, rep.Quarantined)
+	}
 }
 
-// TestScrubQuarantinesAllPlantedCorruption: chaos plants a seeded mix of
-// bit flips and truncations across entries and trace spills; one scrub
-// pass must quarantine every manifest entry — and nothing else — move
-// the bytes under quarantine/, log them to MANIFEST.ndjson, and leave
-// every damaged key re-servable (miss, then Put repairs).
-func TestScrubQuarantinesAllPlantedCorruption(t *testing.T) {
+// buildScrubTree fills a fresh store with 40 entries and 6 trace spills,
+// plus files the corruption planter must skip: a leftover Put temp file,
+// a spill temp file, an empty file, and a previous scrub's quarantine.
+func buildScrubTree(t *testing.T) (*Store, []string, string) {
+	t.Helper()
 	s, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -93,8 +108,32 @@ func TestScrubQuarantinesAllPlantedCorruption(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		writeMinimalSpill(t, filepath.Join(traces, fmt.Sprintf("t%02d.trace", i)))
 	}
+	ineligible := map[string]string{
+		"put-123.tmp":         "tmp",
+		"traces/.trace-1.tmp": "tmp",
+		"empty":               "",
+		"quarantine/old.json": "q",
+	}
+	for rel, content := range ineligible {
+		path := filepath.Join(s.Dir(), rel)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s, keys, traces
+}
 
-	planted, err := chaos.CorruptTree(s.Dir(), 42, 0.3)
+// TestScrubQuarantinesAllPlantedCorruption: corruptTree plants a seeded
+// mix of bit flips and truncations across entries and trace spills; one
+// scrub pass must quarantine every manifest entry — and nothing else —
+// move the bytes under quarantine/, log them to MANIFEST.ndjson, and
+// leave every damaged key re-servable (miss, then Put repairs).
+func TestScrubQuarantinesAllPlantedCorruption(t *testing.T) {
+	s, keys, traces := buildScrubTree(t)
+	planted, err := corruptTree(s.Dir(), 42, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +201,7 @@ func TestScrubQuarantinesAllPlantedCorruption(t *testing.T) {
 			t.Fatalf("key %s unservable after scrub: %+v ok=%t", key, got, ok)
 		}
 	}
-	// A second pass over the repaired shard is clean.
+	// A second pass over the repaired store is clean.
 	rep2, err := s.Scrub(ScrubOptions{TraceDir: traces, VerifyTrace: trace.VerifySpillFile})
 	if err != nil {
 		t.Fatal(err)

@@ -97,17 +97,6 @@ type Store struct {
 	manifestMu sync.Mutex // serializes quarantine-manifest appends
 }
 
-// ShardDir returns the store root for one worker of a sharded cluster:
-// <root>/shard-<n>. A labd worker opened over a shard directory owns it
-// exclusively — its result entries and its trace-cache spill ("traces")
-// both live under it, so N workers can share one filesystem without ever
-// contending on a file. The coordinator's consistent hashing keeps a given
-// job key on the same shard across runs, so each shard's store stays as
-// warm as a single-process store would.
-func ShardDir(root string, shard int) string {
-	return filepath.Join(root, fmt.Sprintf("shard-%03d", shard))
-}
-
 // Open creates (if needed) and opens a store rooted at dir.
 func Open(dir string) (*Store, error) {
 	if dir == "" {

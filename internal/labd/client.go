@@ -109,7 +109,7 @@ func (c *Client) SweepContext(ctx context.Context, req SweepRequest) ([]SweepLin
 			return nil, err
 		}
 		c.resumes.Add(1)
-		// Brief pause so a worker mid-restart is not hammered.
+		// Brief pause so a service mid-restart is not hammered.
 		t := time.NewTimer(time.Duration(resume+1) * 50 * time.Millisecond)
 		select {
 		case <-t.C:
@@ -142,11 +142,7 @@ func (c *Client) sweepOnce(ctx context.Context, req SweepRequest) ([]SweepLine, 
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		err := fmt.Errorf("labd client: sweep: %s: %s", resp.Status, strings.TrimSpace(string(msg)))
-		if resp.StatusCode == http.StatusServiceUnavailable {
-			err = fmt.Errorf("%w%w", errBackpressure, err)
-		}
-		return nil, err
+		return nil, fmt.Errorf("labd client: sweep: %s: %s", resp.Status, strings.TrimSpace(string(msg)))
 	}
 	return decodeSweepStream(resp.Body, len(req.Jobs))
 }
@@ -161,14 +157,6 @@ func firstJobError(lines []SweepLine) error {
 	}
 	return nil
 }
-
-// errBackpressure tags a 503 reply so callers can distinguish "retry
-// later" from a hard failure.
-var errBackpressure = errors.New("")
-
-// IsBackpressure reports whether err is a service 503 — the cluster or
-// service shed the request and the client should honor Retry-After.
-func IsBackpressure(err error) bool { return errors.Is(err, errBackpressure) }
 
 // errResumable tags stream failures where the lines already decoded are
 // trustworthy and the remainder may be re-requested: the wire died, not
@@ -221,96 +209,52 @@ func decodeSweepStream(body io.Reader, n int) ([]SweepLine, error) {
 
 // Stats fetches the service counters.
 func (c *Client) Stats() (StatsReply, error) {
-	return c.StatsContext(context.Background())
-}
-
-// StatsContext is Stats with cancellation.
-func (c *Client) StatsContext(ctx context.Context) (StatsReply, error) {
 	var reply StatsReply
-	err := c.getJSON(ctx, "/v1/stats", &reply)
-	return reply, err
-}
-
-// Health probes the service's liveness endpoint.
-func (c *Client) Health(ctx context.Context) (HealthReply, error) {
-	var reply HealthReply
-	err := c.getJSON(ctx, "/v1/health", &reply)
+	err := c.call(context.Background(), http.MethodGet, "stats", nil, &reply)
 	return reply, err
 }
 
 // Scrub asks the service to audit its disk tier and returns the report.
 func (c *Client) Scrub(ctx context.Context) (ScrubReply, error) {
 	var reply ScrubReply
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/v1/scrub", nil)
-	if err != nil {
-		return reply, fmt.Errorf("labd client: %w", err)
-	}
-	resp, err := c.httpc().Do(hreq)
-	if err != nil {
-		return reply, fmt.Errorf("labd client: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return reply, fmt.Errorf("labd client: scrub: %s: %s", resp.Status, strings.TrimSpace(string(msg)))
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
-		return reply, fmt.Errorf("labd client: decode scrub: %w", err)
-	}
-	return reply, nil
-}
-
-func (c *Client) getJSON(ctx context.Context, path string, dst any) error {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path, nil)
-	if err != nil {
-		return fmt.Errorf("labd client: %w", err)
-	}
-	resp, err := c.httpc().Do(hreq)
-	if err != nil {
-		return fmt.Errorf("labd client: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("labd client: %s: %s", strings.TrimPrefix(path, "/v1/"), resp.Status)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(dst); err != nil {
-		return fmt.Errorf("labd client: decode %s: %w", strings.TrimPrefix(path, "/v1/"), err)
-	}
-	return nil
+	err := c.call(ctx, http.MethodPost, "scrub", nil, &reply)
+	return reply, err
 }
 
 // Frontier runs an explore-style Pareto query; params mirror the explore
 // CLI flags (nil or empty values use the server defaults).
 func (c *Client) Frontier(params map[string]string) (FrontierReply, error) {
-	return c.FrontierContext(context.Background(), params)
+	q := url.Values{}
+	for k, v := range params {
+		q.Set(k, v)
+	}
+	var reply FrontierReply
+	err := c.call(context.Background(), http.MethodGet, "frontier", q, &reply)
+	return reply, err
 }
 
-// FrontierContext is Frontier with cancellation.
-func (c *Client) FrontierContext(ctx context.Context, params map[string]string) (FrontierReply, error) {
-	var reply FrontierReply
-	u := c.BaseURL + "/v1/frontier"
-	if len(params) > 0 {
-		q := url.Values{}
-		for k, v := range params {
-			q.Set(k, v)
-		}
-		u += "?" + q.Encode()
+// call sends one bodiless request to /v1/<name> and decodes the JSON
+// reply into dst; a non-200 reply's error carries the server's message.
+func (c *Client) call(ctx context.Context, method, name string, query url.Values, dst any) error {
+	u := c.BaseURL + "/v1/" + name
+	if len(query) > 0 {
+		u += "?" + query.Encode()
 	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
+	hreq, err := http.NewRequestWithContext(ctx, method, u, nil)
 	if err != nil {
-		return reply, fmt.Errorf("labd client: %w", err)
+		return fmt.Errorf("labd client: %w", err)
 	}
 	resp, err := c.httpc().Do(hreq)
 	if err != nil {
-		return reply, fmt.Errorf("labd client: %w", err)
+		return fmt.Errorf("labd client: %w", err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return reply, fmt.Errorf("labd client: frontier: %s: %s", resp.Status, strings.TrimSpace(string(msg)))
+		return fmt.Errorf("labd client: %s: %s: %s", name, resp.Status, strings.TrimSpace(string(msg)))
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
-		return reply, fmt.Errorf("labd client: decode frontier: %w", err)
+	if err := json.NewDecoder(resp.Body).Decode(dst); err != nil {
+		return fmt.Errorf("labd client: decode %s: %w", name, err)
 	}
-	return reply, nil
+	return nil
 }

@@ -31,8 +31,8 @@
 //	                   they persist in the store like any sweep job.
 //	GET  /v1/stats     cache hit/miss/in-flight counters, store size,
 //	                   uptime and the store version stamp.
-//	GET  /v1/health    liveness probe: {"status":"ok",...}. Coordinators
-//	                   (internal/fabric) use it to register workers.
+//	GET  /v1/health    liveness probe: {"status":"ok",...}, the store
+//	                   version stamp and uptime.
 //	POST /v1/scrub     audit the disk tier: verify every store entry and
 //	                   trace spill file, quarantine corrupt ones, return
 //	                   the report. Safe while serving.
@@ -128,9 +128,8 @@ type StatsReply struct {
 	Scrubs           uint64 `json:"scrubs"`
 	QuarantinedFiles uint64 `json:"quarantined_files"`
 	// Frontend aggregates the frontend observables of every sweep result
-	// this worker delivered (cache and store hits included — the counters
-	// describe delivered results, not simulation effort). A fabric
-	// coordinator sums them cluster-wide.
+	// this service delivered (cache and store hits included — the counters
+	// describe delivered results, not simulation effort).
 	Frontend FrontendStats `json:"frontend"`
 }
 
@@ -144,26 +143,16 @@ type FrontendStats struct {
 	PrefetchLate   uint64 `json:"prefetch_late"`
 }
 
-// Add accumulates another stats block (used by the fabric coordinator's
-// cluster-wide sum).
-func (f *FrontendStats) Add(o FrontendStats) {
-	f.CondBranches += o.CondBranches
-	f.Mispredicts += o.Mispredicts
-	f.PrefetchIssued += o.PrefetchIssued
-	f.PrefetchUseful += o.PrefetchUseful
-	f.PrefetchLate += o.PrefetchLate
-}
-
-// ScrubReply is the /v1/scrub body: one worker's store-integrity report.
-// Dir is empty when the worker runs memory-only (nothing to scrub).
+// ScrubReply is the /v1/scrub body: the service's store-integrity report.
+// Dir is empty when the service runs memory-only (nothing to scrub).
 type ScrubReply struct {
 	store.ScrubReport
 	Dir     string `json:"dir,omitempty"`
 	Version string `json:"version"`
 }
 
-// HealthReply is the /v1/health body. Coordinators poll it to register and
-// monitor workers.
+// HealthReply is the /v1/health body: a liveness probe for supervisors
+// and load balancers.
 type HealthReply struct {
 	Status        string  `json:"status"`
 	Version       string  `json:"version"`
@@ -287,16 +276,16 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// Scrub audits the worker's disk tier — every store entry plus the trace
+// Scrub audits the service's disk tier — every store entry plus the trace
 // spill directory that lives alongside it — quarantining anything corrupt
 // so the next request for that key re-simulates instead of trusting bad
-// bytes. Safe (and intended) to run while the worker serves traffic.
+// bytes. Safe (and intended) to run while the service serves traffic.
 func (s *Server) Scrub() (ScrubReply, error) {
 	reply := ScrubReply{Version: store.Version()}
 	reply.Quarantined = []store.Quarantined{}
 	st := s.cache.Store()
 	if st == nil {
-		return reply, nil // memory-only worker: nothing on disk to audit
+		return reply, nil // memory-only service: nothing on disk to audit
 	}
 	s.scrubMu.Lock()
 	defer s.scrubMu.Unlock()

@@ -142,12 +142,17 @@ func TestSweepDisconnectCountsDroppedReply(t *testing.T) {
 }
 
 func TestHealthEndpoint(t *testing.T) {
-	_, client := startServer(t, lab.NewCache())
-	h, err := client.Health(context.Background())
+	ts, _ := startServer(t, lab.NewCache())
+	resp, err := http.Get(ts.URL + "/v1/health")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Status != "ok" || h.Version == "" {
+	defer resp.Body.Close()
+	var h labd.HealthReply
+	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || h.Status != "ok" || h.Version == "" {
 		t.Fatalf("health reply: %+v", h)
 	}
 }
