@@ -32,7 +32,6 @@ import (
 	"flywheel/internal/lab"
 	"flywheel/internal/lab/store"
 	"flywheel/internal/mem"
-	"flywheel/internal/sample"
 	"flywheel/internal/sim"
 	"flywheel/internal/trace"
 )
@@ -79,24 +78,6 @@ type TieredMetrics struct {
 	TotalMs  float64 `json:"total_ms"`
 }
 
-// SampledMetrics compares sampled execution against an exact run of the
-// same core and workload: the per-instruction cost of both, the resulting
-// wall-clock speedup, and the estimate's error against the exact result —
-// the speed/accuracy trade the sampled tier buys, tracked PR over PR.
-type SampledMetrics struct {
-	NsPerInstExact   float64 `json:"ns_per_inst_exact"`
-	NsPerInstSampled float64 `json:"ns_per_inst_sampled"`
-	Speedup          float64 `json:"speedup"`
-	Windows          int     `json:"windows"`
-	// DetailedFrac is the fraction of the stream simulated in detail
-	// (bootstrap, warm-ups and measurement windows); 1-DetailedFrac was
-	// fast-forwarded through functional warming.
-	DetailedFrac  float64 `json:"detailed_frac"`
-	IPCErrPct     float64 `json:"ipc_err_pct"`
-	EnergyErrPct  float64 `json:"energy_err_pct"`
-	IPCRelCI95Pct float64 `json:"ipc_rel_ci95_pct"`
-}
-
 // FrontendMetrics is one (predictor, prefetcher) combination benchmarked
 // on the flywheel core: the simulator throughput it sustains and the
 // frontend observables it reports, so a predictor that buys accuracy by
@@ -126,9 +107,6 @@ type Report struct {
 	Frontend map[string]FrontendMetrics `json:"frontend"`
 	Suite    SuiteMetrics               `json:"suite"`
 	Tiered   TieredMetrics              `json:"tiered"`
-	// Sampled is keyed by core name (flywheel, regalloc): the cores the
-	// sampled tier accelerates.
-	Sampled map[string]SampledMetrics `json:"sampled"`
 }
 
 // emuLoop is the steady-state kernel for the raw emulator measurement.
@@ -246,52 +224,6 @@ func benchFrontend(instructions uint64) (map[string]FrontendMetrics, error) {
 	return out, nil
 }
 
-// benchSampled measures one core exactly and under the sampled schedule
-// on the same stream, comparing cost and accuracy. The stream needs to be
-// several sampling periods long, so it takes its own instruction budget
-// instead of the suite-wide one.
-func benchSampled(arch sim.Arch, instructions uint64, samp sim.Sampling) (SampledMetrics, error) {
-	cfg := sim.RunConfig{
-		Workload: "ijpeg", Arch: arch, Node: cacti.Node130,
-		FEBoostPct: 50, BEBoostPct: 50, MaxInstructions: instructions,
-	}
-	exact, err := sim.Run(cfg) // also primes the snapshot and trace caches
-	if err != nil {
-		return SampledMetrics{}, err
-	}
-	scfg := cfg
-	scfg.Sampling = samp
-	sampled, err := sim.Run(scfg)
-	if err != nil {
-		return SampledMetrics{}, err
-	}
-	if sampled.Sampled == nil || exact.Retired == 0 {
-		return SampledMetrics{}, fmt.Errorf("bench sampled %v: no sampled stats", arch)
-	}
-	bench := func(c sim.RunConfig) float64 {
-		r := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := sim.Run(c); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		return float64(r.NsPerOp())
-	}
-	exactNs, sampledNs := bench(cfg), bench(scfg)
-	st := sampled.Sampled
-	return SampledMetrics{
-		NsPerInstExact:   exactNs / float64(exact.Retired),
-		NsPerInstSampled: sampledNs / float64(sampled.Retired),
-		Speedup:          exactNs / sampledNs,
-		Windows:          st.Windows,
-		DetailedFrac:     1 - float64(st.SkippedInsts)/float64(st.TotalInsts),
-		IPCErrPct:        100 * (sampled.IPC - exact.IPC) / exact.IPC,
-		EnergyErrPct:     100 * (sampled.EnergyPJ - exact.EnergyPJ) / exact.EnergyPJ,
-		IPCRelCI95Pct:    100 * st.IPCRelCI95,
-	}, nil
-}
-
 func benchSuite(instructions uint64, storeDir string) (SuiteMetrics, error) {
 	jobs := experiments.SuiteJobs(experiments.Options{
 		Instructions: instructions, Node: cacti.Node130,
@@ -388,13 +320,6 @@ func compare(out io.Writer, oldRep, newRep Report, maxRegressPct float64) (regre
 			rows = append(rows, row{name + " ns/inst", o.NsPerInst, n.NsPerInst})
 		}
 	}
-	for _, name := range []string{"flywheel", "regalloc"} {
-		o, hasOld := oldRep.Sampled[name]
-		n, hasNew := newRep.Sampled[name]
-		if hasOld && hasNew {
-			rows = append(rows, row{name + " sampled ns/inst", o.NsPerInstSampled, n.NsPerInstSampled})
-		}
-	}
 	rows = append(rows, row{"suite ms/job", oldRep.Suite.MsPerJob, newRep.Suite.MsPerJob})
 
 	fmt.Fprintf(out, "compare against %s (gate: +%.1f%%):\n", oldRep.Date, maxRegressPct)
@@ -429,7 +354,6 @@ func run(out io.Writer, quick bool, outPath, storeDir string) (Report, error) {
 		NumCPU:          runtime.NumCPU(),
 		InstructionsPer: instructions,
 		Cores:           map[string]Metrics{},
-		Sampled:         map[string]SampledMetrics{},
 	}
 
 	var err error
@@ -456,24 +380,6 @@ func run(out io.Writer, quick bool, outPath, storeDir string) (Report, error) {
 	if rep.Tiered, err = benchTiered(instructions); err != nil {
 		return rep, err
 	}
-	// Sampled execution needs a stream several periods long, so it gets
-	// its own budget: the production schedule over 300k instructions, or a
-	// proportionally scaled-down schedule for the CI smoke.
-	sampledInsts, samp := uint64(300_000), sim.Sampling{Period: sample.DefaultPeriod}
-	if quick {
-		sampledInsts = 60_000
-		samp = sim.Sampling{Period: 12_000, WindowInsts: 1_000, WarmupInsts: 500}
-	}
-	for arch, name := range map[sim.Arch]string{
-		sim.ArchFlywheel: "flywheel",
-		sim.ArchRegAlloc: "regalloc",
-	} {
-		m, err := benchSampled(arch, sampledInsts, samp)
-		if err != nil {
-			return rep, err
-		}
-		rep.Sampled[name] = m
-	}
 
 	enc, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
@@ -488,14 +394,12 @@ func run(out io.Writer, quick bool, outPath, storeDir string) (Report, error) {
 		return rep, err
 	}
 	fmt.Fprintf(out, "wrote %s\n", outPath)
-	fmt.Fprintf(out, "emu: %.1f ns/inst (%.1f MIPS)  baseline: %.0f ns/inst (%.2f MIPS, %.3f allocs/inst)  flywheel: %.0f ns/inst (%.2f MIPS, %.3f allocs/inst)  suite: %.0f ms for %d jobs  tiered: %d/%d cells confirmed in %.0f ms  sampled: flywheel %.1fx (IPC %+.1f%%), regalloc %.1fx (IPC %+.1f%%)\n",
+	fmt.Fprintf(out, "emu: %.1f ns/inst (%.1f MIPS)  baseline: %.0f ns/inst (%.2f MIPS, %.3f allocs/inst)  flywheel: %.0f ns/inst (%.2f MIPS, %.3f allocs/inst)  suite: %.0f ms for %d jobs  tiered: %d/%d cells confirmed in %.0f ms\n",
 		rep.Emu.NsPerInst, rep.Emu.MIPS,
 		rep.Cores["baseline"].NsPerInst, rep.Cores["baseline"].MIPS, rep.Cores["baseline"].AllocsPerInst,
 		rep.Cores["flywheel"].NsPerInst, rep.Cores["flywheel"].MIPS, rep.Cores["flywheel"].AllocsPerInst,
 		rep.Suite.TotalMs, rep.Suite.Jobs,
-		rep.Tiered.ConfirmedCells, rep.Tiered.GridCells, rep.Tiered.TotalMs,
-		rep.Sampled["flywheel"].Speedup, rep.Sampled["flywheel"].IPCErrPct,
-		rep.Sampled["regalloc"].Speedup, rep.Sampled["regalloc"].IPCErrPct)
+		rep.Tiered.ConfirmedCells, rep.Tiered.GridCells, rep.Tiered.TotalMs)
 	return rep, nil
 }
 

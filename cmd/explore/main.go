@@ -23,16 +23,8 @@
 //	explore -tier analytic -fe 0,10,...,100 -be 0,25,50,75,100
 //	explore -tier auto -margin 0.02 -audit 0.05
 //
-// Sampled execution trades a small, quantified error for ~5x cheaper
-// cycle-accurate cells: each run alternates fast-forwarded functional
-// warming with short detailed windows and reports confidence intervals.
-// `-tier sampled` runs the whole grid that way; combining `-sample-period`
-// with `-tier analytic` or `-tier auto` inserts it as a middle tier —
-// analytic screen, sampled shortlist, exact confirmation of only the cells
-// whose confidence interval leaves their frontier status ambiguous.
-//
-//	explore -tier sampled -fe 0,25,50,75,100           # whole grid, sampled
-//	explore -tier analytic -sample-period 60000        # three-tier
+// Every simulated cell is exact: the analytic screen decides only which
+// cells to simulate, never what a simulated cell reports.
 package main
 
 import (
@@ -46,7 +38,6 @@ import (
 	"flywheel/internal/explore"
 	"flywheel/internal/lab"
 	"flywheel/internal/lab/store"
-	"flywheel/internal/sample"
 	"flywheel/internal/sim"
 	"flywheel/internal/stats"
 )
@@ -83,16 +74,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		n       = fs.Uint64("n", def.Instructions, "measured dynamic instructions per run")
 		workers = fs.Int("parallel", 0, "simulation worker-pool size (0 = GOMAXPROCS)")
 
-		tier      = fs.String("tier", "exact", "evaluation tier: exact, sampled, analytic, or auto")
+		tier      = fs.String("tier", "exact", "evaluation tier: exact, analytic, or auto")
 		margin    = fs.Float64("margin", 0, "analytic frontier slack fraction (0 = derive from model error, negative = frontier only)")
 		audit     = fs.Float64("audit", explore.DefaultAudit, "fraction of screened-out cells confirmed anyway (negative disables)")
 		auditSeed = fs.Uint64("auditseed", 1, "audit-sample seed")
-		maxPoints = fs.Int("maxpoints", 0, "grid-size guard (0 = 4096 for -tier exact/sampled, 262144 otherwise)")
-
-		samplePeriod = fs.Uint64("sample-period", 0, "sampled-execution period in instructions (0 = exact cells; with -tier sampled, 0 = default period)")
-		windowInsts  = fs.Uint64("window", 0, "measured instructions per detailed window (0 = default)")
-		sampleWarmup = fs.Uint64("sample-warmup", 0, "detailed warm-up instructions before each window (0 = default)")
-		sampleSeed   = fs.Uint64("sample-seed", 0, "window-phase seed (0 = 1)")
+		maxPoints = fs.Int("maxpoints", 0, "grid-size guard (0 = 4096 for -tier exact, 262144 otherwise)")
 
 		storeDir   = fs.String("store", "", "persistent result-store directory (empty = in-memory only)")
 		storeStats = fs.Bool("storestats", false, "print cache/store statistics to stderr after the run")
@@ -106,24 +92,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	if *tier != "exact" && *tier != "sampled" && *tier != "analytic" && *tier != "auto" {
-		fmt.Fprintf(stderr, "explore: unknown tier %q (want exact, sampled, analytic or auto)\n", *tier)
-		return 2
-	}
-	sampling := sim.Sampling{
-		Period: *samplePeriod, WindowInsts: *windowInsts,
-		WarmupInsts: *sampleWarmup, Seed: *sampleSeed,
-	}
-	if *tier == "sampled" && sampling.Period == 0 {
-		sampling.Period = sample.DefaultPeriod
-	}
-	sampling = sampling.Normalize()
-	if err := sampling.Validate(); err != nil {
-		fmt.Fprintln(stderr, "explore:", err)
+	if *tier != "exact" && *tier != "analytic" && *tier != "auto" {
+		fmt.Fprintf(stderr, "explore: unknown tier %q (want exact, analytic or auto)\n", *tier)
 		return 2
 	}
 	guard := *maxPoints
-	if guard == 0 && *tier != "exact" && *tier != "sampled" {
+	if guard == 0 && *tier != "exact" {
 		// The analytic tier screens cells in nanoseconds; the exact guard
 		// would defeat its purpose.
 		guard = 262_144
@@ -181,7 +155,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		rep, err := explore.ExploreTiered(space, model, explore.TieredOptions{
 			Options: opt, Margin: *margin, Audit: *audit, AuditSeed: *auditSeed,
-			Sampling: sampling,
 		})
 		if err != nil {
 			fmt.Fprintln(stderr, "explore:", err)
@@ -198,12 +171,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			emit(stdout, rep.ConfirmedReport().FrontierTable(), *markdown)
 		}
 	} else {
-		var rep *explore.Report
-		if *tier == "sampled" {
-			rep, err = explore.ExploreSampled(space, sampling, opt)
-		} else {
-			rep, err = explore.Explore(space, opt)
-		}
+		rep, err := explore.Explore(space, opt)
 		if err != nil {
 			fmt.Fprintln(stderr, "explore:", err)
 			return 1

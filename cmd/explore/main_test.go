@@ -170,61 +170,19 @@ func TestRunTierRejectsUnknown(t *testing.T) {
 	}
 }
 
-func TestRunTierSampled(t *testing.T) {
-	args := append([]string{
-		"-tier", "sampled", "-sample-period", "12000", "-window", "1000",
-		"-sample-warmup", "500",
-	}, tiny[:len(tiny)-2]...)
-	args = append(args, "-n", "60000")
-	var out, errb bytes.Buffer
-	if code := run(args, &out, &errb); code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, errb.String())
-	}
-	if !strings.Contains(out.String(), "Pareto frontier") {
-		t.Error("sampled tier output lacks the frontier table")
-	}
-}
-
-func TestRunTierSampledDefaultsPeriod(t *testing.T) {
-	// -tier sampled without -sample-period must fall back to the default
-	// schedule rather than reject the run. The default period needs a
-	// stream a few periods long, so this test uses a bigger workload than
-	// tiny.
-	args := []string{
-		"-tier", "sampled", "-ilp", "1", "-entropy", "0", "-mem", "4",
-		"-code", "4", "-passes", "4", "-fe", "0,50", "-n", "200000",
-	}
-	var out, errb bytes.Buffer
-	if code := run(args, &out, &errb); code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, errb.String())
-	}
-}
-
-func TestRunThreeTier(t *testing.T) {
-	// -sample-period with an analytic screen inserts the sampled middle
-	// tier; the summary must report both the sampled cells and how many
-	// escalated to exact.
-	args := append([]string{
-		"-tier", "analytic", "-sample-period", "12000", "-window", "1000",
-		"-sample-warmup", "500", "-fe", "0,25,50,75,100",
-	}, tiny[2:len(tiny)-2]...)
-	args = append(args, "-n", "60000")
-	var out, errb bytes.Buffer
-	if code := run(args, &out, &errb); code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, errb.String())
-	}
-	if !strings.Contains(errb.String(), "sampled") || !strings.Contains(errb.String(), "escalated") {
-		t.Errorf("three-tier summary missing sampled/escalated counts: %s", errb.String())
-	}
-}
-
-func TestRunRejectsBadSamplingSchedule(t *testing.T) {
-	// A window span that cannot fit its period is a usage error.
-	args := append([]string{
-		"-tier", "sampled", "-sample-period", "1000", "-window", "2000",
-	}, tiny...)
-	var out, errb bytes.Buffer
-	if code := run(args, &out, &errb); code != 2 {
-		t.Fatalf("exit %d, want 2 (stderr: %s)", code, errb.String())
+// TestRunRejectsSampledTier: the sampled tier and its flags are
+// gone; asking for them is a usage error, not a silently exact run.
+func TestRunRejectsSampledTier(t *testing.T) {
+	for _, extra := range [][]string{
+		{"-tier", "sampled"},
+		{"-sample-period", "60000"},
+	} {
+		var out, errb bytes.Buffer
+		if code := run(append(extra, tiny...), &out, &errb); code != 2 {
+			t.Errorf("%v: exit %d, want 2 (stderr: %s)", extra, code, errb.String())
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: wrote output despite the usage error: %q", extra, out.String())
+		}
 	}
 }

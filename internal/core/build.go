@@ -81,11 +81,6 @@ func (c *Core) dispatch(now int64) {
 		if c.builder == nil {
 			// First instruction after a boundary starts a fresh trace.
 			c.builder = c.ec.NewBuilder(d.Trace.PC, d.Seq())
-			if d.Trace.PC == c.divergedPC {
-				c.divergedPC = noDivergedPC
-			} else if c.stats.Retired < c.scratchUntil && c.ec.Resident(d.Trace.PC) {
-				c.builder.Scratch()
-			}
 		}
 	}
 }

@@ -91,33 +91,8 @@ type Core struct {
 	// Mode-time accounting.
 	lastModeSwitch int64
 
-	// scratchUntil suppresses Execution Cache writes for traces opened
-	// before this retired-instruction count (see Builder.Scratch); sampled
-	// execution sets it across each post-resume warm-up.
-	scratchUntil uint64
-	// divergedPC is the start address of the last trace whose recorded
-	// path went stale (a real divergence, not a window-end stream
-	// exhaustion). The next trace built at that address replaces the stale
-	// one even inside the scratch span — suppressing that rebuild would
-	// leave the stale trace in place to diverge again on every lookup.
-	divergedPC uint64
-	// resumed marks a core that has been Resumed at least once (sampled
-	// execution); exact runs never set it.
-	resumed bool
-	// failStreak counts consecutive genuine divergences whose replays made
-	// almost no progress; at replayFailCap the next resume declines replay
-	// once (see afterTraceExit). Tracked only on resumed cores.
-	failStreak int
-
-	halted  bool
-	sawHalt bool
-	stats   Stats
-
-	// Retirement marks for sampled execution: markFn fires with a stats
-	// snapshot the first time Retired reaches each ascending mark.
-	marks    []uint64
-	markFn   func(i int, s Stats)
-	nextMark int
+	halted bool
+	stats  Stats
 }
 
 // New builds a Flywheel core around the oracle source: a live *emu.Stream,
@@ -150,23 +125,11 @@ func New(cfg Config, stream pipe.InstSource) *Core {
 	c.sys = clock.NewSystem(c.be, c.fe)
 	c.redistDeadline = cfg.RedistributionInterval
 	c.lastFailedResume = noFailedResume
-	c.divergedPC = noDivergedPC
 	return c
 }
 
 // noFailedResume is the idle value of the failed-resume latch.
 const noFailedResume = ^uint64(0)
-
-// noDivergedPC is the idle value of the diverged-trace latch.
-const noDivergedPC = ^uint64(0)
-
-// replayFailCap bounds consecutive low-progress divergences (at most
-// stormUnitCeil units issued each) before a resume declines replay and
-// lets trace creation heal the region. Sampled execution only.
-const (
-	replayFailCap = 8
-	stormUnitCeil = 2
-)
 
 // Run simulates until the program halts and returns the run statistics.
 func (c *Core) Run() (Stats, error) {
@@ -182,12 +145,6 @@ func (c *Core) Run() (Stats, error) {
 				if c.mode == ModeBuild && !c.fe.Gated() {
 					c.feTick(now)
 				}
-			}
-		}
-		if c.markFn != nil {
-			for c.nextMark < len(c.marks) && c.stats.Retired >= c.marks[c.nextMark] {
-				c.markFn(c.nextMark, c.StatsSnapshot())
-				c.nextMark++
 			}
 		}
 		if c.cfg.MaxCycles > 0 && c.be.Cycles > c.cfg.MaxCycles {
@@ -207,60 +164,6 @@ func (c *Core) Run() (Stats, error) {
 	}
 	c.finalizeStats()
 	return c.stats, nil
-}
-
-// SetMarks arranges for fn to be called with a statistics snapshot the
-// first time the retired-instruction count reaches each mark (ascending).
-// Sampled execution sets two marks per detailed window to delimit the
-// measurement interval. Replaces any previous marks.
-func (c *Core) SetMarks(marks []uint64, fn func(i int, s Stats)) {
-	c.marks, c.markFn, c.nextMark = marks, fn, 0
-}
-
-// Resume clears the end-of-stream halt so Run can be called again after
-// the oracle window's source is replenished; sampled execution resumes the
-// same core for each detailed window so that the Execution Cache, rename
-// pools, predictor, and cache hierarchy all carry across. It reports false
-// if the program truly halted (retired a HALT) — there is nothing left to
-// run then.
-//
-// scratchInsts suppresses Execution Cache writes for traces opened within
-// that many retired instructions of the resume: the refilling pipeline
-// issues in narrow groups, and a trace recorded from it would replace the
-// warm-built trace at the same address and slow every later replay. The
-// suppressed builders still count blocks, so capacity sealing — and with
-// it the seal-time EC lookup that re-enters trace execution — is
-// undisturbed.
-func (c *Core) Resume(scratchInsts uint64) bool {
-	if c.sawHalt {
-		return false
-	}
-	c.scratchUntil = c.stats.Retired + scratchInsts
-	c.halted = false
-	c.window.reopen()
-	c.fetcher.Reopen()
-	// A trace still under construction would span the fast-forward gap: its
-	// slot offsets are relative to its start sequence number, so it could
-	// never pair with the post-gap stream. Abandon it; the next dispatch
-	// opens a fresh trace.
-	c.builder = nil
-	c.sealing = false
-	// Likewise an in-flight replay: its start sequence number is pre-gap,
-	// so pairing against the re-anchored window would read below base.
-	// Tear it down and restart from the front-end; trace execution resumes
-	// at the first post-gap EC hit.
-	c.releaseRun(c.cur)
-	c.releaseRun(c.next)
-	c.cur, c.next = nil, nil
-	c.draining = false
-	c.lastFailedResume = noFailedResume
-	c.divergedPC = noDivergedPC
-	c.resumed = true
-	c.failStreak = 0
-	if c.mode == ModeReplay {
-		c.exitToBuild(c.sys.Now())
-	}
-	return true
 }
 
 // bePeriod returns the current back-end period (mode dependent).
@@ -323,7 +226,6 @@ func (c *Core) retire(now int64) {
 		c.arena.Free(head)
 		if halt {
 			c.halted = true
-			c.sawHalt = true
 			return
 		}
 	}

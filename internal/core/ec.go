@@ -172,23 +172,6 @@ func (e *EC) Lookup(pc uint64) (Reader, bool) {
 	return Reader{}, false
 }
 
-// Resident reports whether a live trace starts at pc, without touching LRU
-// state, statistics, or the lazy stale-tag cleanup. The sampled-execution
-// scratch policy uses it: a post-resume cold build is discarded only when
-// it would replace a resident trace — holes in the cache are still filled,
-// so later windows over the same code replay instead of rebuilding.
-func (e *EC) Resident(pc uint64) bool {
-	for i := range e.tags {
-		t := &e.tags[i]
-		if t.pc != pc {
-			continue
-		}
-		b := &e.sets[t.set][t.way]
-		return b.valid && b.traceID == t.traceID && b.seq == 0
-	}
-	return false
-}
-
 // registerTag adds a completed trace to the Tag Array, evicting the LRU
 // entry when full and replacing any older trace with the same start pc.
 func (e *EC) registerTag(pc uint64, traceID uint64, set, way int) {
@@ -331,13 +314,6 @@ type Builder struct {
 	pending  []Slot
 	units    int
 	full     bool
-	// scratch builders go through all the motions (block accounting,
-	// capacity sealing) but never write the data array or register a tag.
-	// Sampled execution uses them right after a resume: a trace assembled
-	// from a still-refilling pipeline has narrow issue units, and letting it
-	// replace the warm-built trace at the same address would permanently
-	// degrade every later replay of that path.
-	scratch bool
 }
 
 // NewBuilder starts recording a trace for the program path beginning at
@@ -398,14 +374,7 @@ func (b *Builder) AddUnit(slots []Slot) {
 	}
 }
 
-// Scratch marks the builder as write-suppressed (see the field comment).
-func (b *Builder) Scratch() { b.scratch = true }
-
 func (b *Builder) flushBlock(slots []Slot, last bool, successor uint64) {
-	if b.scratch {
-		b.seq++
-		return
-	}
 	set := (b.set + b.seq) % len(b.ec.sets)
 	way := b.ec.writeBlock(set, b.traceID, b.seq, slots, last, successor)
 	if b.seq == 0 {

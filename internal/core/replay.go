@@ -71,8 +71,6 @@ type traceRun struct {
 	broken      bool
 	// blockedUntil gates the first issue after a trace-change checkpoint.
 	blockedUntil int64
-	// unitsIssued counts issue units this run delivered before it ended.
-	unitsIssued int
 	// maxOff tracks the largest sequence offset seen (trace length guess
 	// for next-trace prefetch).
 	maxOff     uint32
@@ -227,33 +225,12 @@ func (c *Core) formUnit(now, p int64) bool {
 	for _, s := range unit {
 		seq := run.startSeq + uint64(s.SeqOffset)
 		rec, ok := c.window.At(seq)
-		overlap := ok && c.window.Consumed(seq)
-		if !ok || overlap || rec.PC != s.PC {
+		if !ok || c.window.Consumed(seq) || rec.PC != s.PC {
 			if debugDivergence != nil {
 				debugDivergence(run, s, rec, ok, c.window.Consumed(seq))
 			}
 			u.recs = recs
 			c.stats.Divergences++
-			if ok || !c.window.Drained() {
-				// A genuine path mismatch: the stored trace at this start
-				// address is stale, and its rebuild should replace it even
-				// inside a sampled warm-up's scratch span. (A failed read on
-				// a drained window is just the stream ending mid-trace.)
-				c.divergedPC = run.startPC
-				// Storm streak: consecutive low-progress replays aborting on
-				// an already-consumed record. Path-mismatch divergences are
-				// normal replay dynamics and reset the streak; so does any
-				// replay that got real work done. Sampled runs only — the
-				// flag stays clear in exact mode, whose replay dynamics are
-				// the reference sampled windows are compared against.
-				if c.resumed {
-					if overlap && run.unitsIssued <= stormUnitCeil {
-						c.failStreak++
-					} else {
-						c.failStreak = 0
-					}
-				}
-			}
 			c.startDrain(now + int64(c.cfg.DivergenceDetectCycles)*p)
 			return false
 		}
@@ -417,11 +394,8 @@ func (c *Core) issueUnit(now, p int64) {
 	}
 	run.buffered = append(run.buffered[:0], run.buffered[u.end:]...)
 	u.valid = false
-	run.unitsIssued++
 	c.stats.ReplayUnits++
-	// Forward progress: clear the failed-resume latch. The low-progress
-	// divergence streak is per-run, not per-unit: the storm pattern being
-	// broken issues a unit or two before every divergence.
+	// Forward progress: clear the failed-resume latch.
 	c.lastFailedResume = noFailedResume
 }
 
@@ -497,18 +471,6 @@ func (c *Core) afterTraceExit(now int64, diverged bool) {
 			retryable = false
 		}
 		c.lastFailedResume = resume.Seq
-	}
-	if retryable && c.failStreak >= replayFailCap {
-		// Replay keeps diverging with almost no progress: it is cycling
-		// over a half-executed region, each entry issuing a unit or two
-		// before hitting an already-consumed record, and the out-of-order
-		// units it does issue scatter fresh holes ahead (a self-sustaining
-		// divergence storm). The failed-resume latch cannot see the cycle —
-		// every attempt makes token progress at a different resume point —
-		// so the streak forces one trace-creation interlude, which heals
-		// the region by walking the window's unconsumed records in order.
-		c.failStreak = 0
-		retryable = false
 	}
 	if retryable {
 		if r, hit := c.ec.Lookup(resume.PC); hit {

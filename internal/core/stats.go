@@ -1,7 +1,6 @@
 package core
 
 import (
-	"flywheel/internal/branch"
 	"flywheel/internal/mem"
 	"flywheel/internal/pipe"
 	"flywheel/internal/power"
@@ -71,10 +70,6 @@ type Stats struct {
 	CondBranches uint64
 	Prefetch     mem.PrefetchStats
 	Demand       mem.DemandStats
-
-	// Pred is the raw predictor counter block; sampled execution
-	// differences it across window marks to compute per-window accuracy.
-	Pred branch.Stats
 }
 
 // Issued is the total number of issued instructions across both modes.
@@ -83,26 +78,19 @@ func (s Stats) Issued() uint64 { return s.IssuedBuild + s.IssuedReplay }
 // Cycles is the total number of back-end cycles across both modes.
 func (s Stats) Cycles() uint64 { return s.BECyclesBuild + s.BECyclesReplay }
 
+// finalizeStats fills in the derived metrics and the counters kept by the
+// pipeline structures.
 func (c *Core) finalizeStats() {
-	c.stats = c.StatsSnapshot()
-	// The snapshot folded the open mode interval into the totals; advance
-	// the interval start so a resumed run does not account it twice.
-	c.lastModeSwitch = c.sys.Now()
-}
-
-// StatsSnapshot returns the statistics as of now with derived metrics
-// filled in. It does not disturb the running counters and may be called
-// repeatedly; sampled execution reads it at window marks.
-func (c *Core) StatsSnapshot() Stats {
-	s := &Stats{}
-	*s = c.stats
-	// Close the open mode interval (in the copy only).
+	s := &c.stats
+	// Close the open mode interval; moving its start to now makes a
+	// repeat call add nothing.
 	now := c.sys.Now()
 	if c.mode == ModeReplay {
 		s.ReplayTimePS += now - c.lastModeSwitch
 	} else {
 		s.BuildTimePS += now - c.lastModeSwitch
 	}
+	c.lastModeSwitch = now
 	s.TimePS = now
 	s.FECycles = c.fe.Cycles
 	s.FEGatedCycles = c.fe.GatedCycles
@@ -131,8 +119,6 @@ func (c *Core) StatsSnapshot() Stats {
 	s.CondBranches = c.pred.Stats.CondBranches
 	s.Prefetch = c.hier.PrefetchStats()
 	s.Demand = c.hier.DemandStats()
-	s.Pred = c.pred.Stats
-	return *s
 }
 
 // Stats returns the current statistics (final after Run returns).

@@ -189,20 +189,6 @@ func (w *oracleWindow) Next() (emu.Trace, bool) {
 // Drained reports that the underlying stream ended.
 func (w *oracleWindow) Drained() bool { return w.drained }
 
-// reopen clears the end-of-stream latch and drops the buffered window so
-// pulls resume from the source. Sampled execution calls it between
-// detailed windows, after the core halted on a gated (empty) source: at
-// that point every buffered entry has been consumed and the requeue is
-// empty, and the next record's sequence number is discontinuous with the
-// old window (the fast-forward gap), so the buffer must re-anchor at it.
-func (w *oracleWindow) reopen() {
-	w.drained = false
-	w.entries = w.entries[:0]
-	w.consumed = w.consumed[:0]
-	w.base = 0
-	w.prefix = 0
-}
-
 // compact drops the fully consumed prefix to bound memory. The retained
 // margin must exceed everything a mode switch can hand back to the window:
 // the front queue, the fetcher lookahead and one fetch group.

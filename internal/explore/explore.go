@@ -113,10 +113,6 @@ type Point struct {
 	// Predicted marks points whose Result came from the analytic tier's
 	// fitted model rather than a cycle-accurate simulation.
 	Predicted bool
-	// Sampled marks points whose Result is a sampled-execution estimate —
-	// periodic detailed windows with confidence intervals (Result.Sampled)
-	// — rather than an exact cycle-accurate run.
-	Sampled bool
 
 	// gridIndex is the point's position in the plan's grid enumeration, so
 	// a confirmed subset can be joined back to its predictions.
@@ -205,24 +201,6 @@ func Explore(s Space, opt Options) (*Report, error) {
 		return nil, err
 	}
 	points, err := ExactTier{}.Evaluate(plan, opt)
-	if err != nil {
-		return nil, err
-	}
-	markFrontier(points)
-	return &Report{Space: plan.Space, Points: points}, nil
-}
-
-// ExploreSampled runs the whole grid with sampled execution: every cell
-// (baselines included) alternates fast-forwarded warming with detailed
-// windows under the given schedule, ~5x cheaper per cell than Explore.
-// Points carry confidence intervals in Result.Sampled and are marked
-// Sampled.
-func ExploreSampled(s Space, samp sim.Sampling, opt Options) (*Report, error) {
-	plan, err := NewPlan(s)
-	if err != nil {
-		return nil, err
-	}
-	points, err := SampledTier{Sampling: samp}.Evaluate(plan, opt)
 	if err != nil {
 		return nil, err
 	}

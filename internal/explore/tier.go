@@ -65,45 +65,10 @@ func (ExactTier) Name() string { return "exact" }
 // Evaluate registers every profile's workload, runs the whole grid plus
 // baselines as one batched lab submission, and computes the paper metrics.
 func (ExactTier) Evaluate(p *Plan, opt Options) ([]Point, error) {
-	return labEvaluate(p, opt, sim.Sampling{})
-}
-
-// SampledTier evaluates every cell with sampled execution: periodic
-// detailed windows over fast-forwarded functional warming, ~5x cheaper per
-// cell than the exact tier. Its points carry confidence intervals
-// (Result.Sampled) and are marked Sampled; the three-tier explorer uses
-// the intervals to decide which cells still need an exact run.
-type SampledTier struct {
-	// Sampling is the schedule; Period 0 (disabled) is rejected — use
-	// ExactTier for exact runs.
-	Sampling sim.Sampling
-}
-
-// Name identifies the tier in reports and CLI flags.
-func (SampledTier) Name() string { return "sampled" }
-
-// Evaluate runs the grid like the exact tier, but every job — baselines
-// included, so speedup and energy ratios compare like with like — runs the
-// sampled schedule. Sampled jobs memoize under their own cache keys; an
-// exact result is never served for a sampled request or vice versa.
-func (t SampledTier) Evaluate(p *Plan, opt Options) ([]Point, error) {
-	s := t.Sampling.Normalize()
-	if !s.Enabled() {
-		return nil, fmt.Errorf("explore: sampled tier has no sampling period; set SampledTier.Sampling")
-	}
-	return labEvaluate(p, opt, s)
-}
-
-// labEvaluate is the shared lab-batched evaluation behind the exact and
-// sampled tiers; samp (zero: exact) is stamped on every job.
-func labEvaluate(p *Plan, opt Options, samp sim.Sampling) ([]Point, error) {
 	if err := registerProfiles(p.Space.Profiles); err != nil {
 		return nil, err
 	}
 	jobs := append(append([]lab.Job{}, p.Baselines...), p.Grid...)
-	for i := range jobs {
-		jobs[i].Sampling = samp
-	}
 	cache := opt.Cache
 	if cache == nil {
 		cache = sharedCache
@@ -180,7 +145,6 @@ func fillPoint(p *Point, r, b sim.Result, predicted bool) {
 	p.Speedup = r.Speedup(b)
 	p.EnergyRatio = stats.Ratio(r.EnergyPJ, b.EnergyPJ)
 	p.Predicted = predicted
-	p.Sampled = r.Sampled != nil
 }
 
 // registerProfiles generates and registers the synthetic workload of every

@@ -9,11 +9,9 @@ package lab
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 
 	"flywheel/internal/cacti"
-	"flywheel/internal/sample"
 	"flywheel/internal/sim"
 )
 
@@ -31,22 +29,6 @@ func randomJob(rng *rand.Rand) Job {
 	nodes := []cacti.Node{0, cacti.Node130, cacti.Node90, cacti.Node60}
 	boosts := []int{0, 50, 100}
 	instrs := []uint64{0, 300_000}
-	// The sampling pool mixes exact (zero), default-normalized, and
-	// explicit schedules — including a disabled config with stray non-zero
-	// fields, which must normalize to exact. Pool entries that normalize to
-	// the same config are repeated aliases on purpose: they keep key
-	// collisions frequent enough for the property to be exercised in both
-	// directions despite sampling widening the job space.
-	samplings := []sim.Sampling{
-		{},
-		{},
-		{WindowInsts: 4_000, Seed: 9},
-		{Seed: 3},
-		{Period: 60_000},
-		{Period: 60_000, WindowInsts: 6_000, WarmupInsts: 2_000, Seed: 1},
-		{Period: 60_000, WindowInsts: 6_000},
-		{Period: 30_000, WindowInsts: 2_000, WarmupInsts: 500, Seed: 2},
-	}
 	return Job{
 		Workload:              workloads[rng.Intn(len(workloads))],
 		Arch:                  sim.Arch(rng.Intn(3)),
@@ -56,7 +38,6 @@ func randomJob(rng *rand.Rand) Job {
 		MaxInstructions:       instrs[rng.Intn(len(instrs))],
 		ExtraFrontEndStages:   rng.Intn(2),
 		PipelinedWakeupSelect: rng.Intn(2) == 1,
-		Sampling:              samplings[rng.Intn(len(samplings))],
 	}
 }
 
@@ -64,7 +45,7 @@ func TestKeyEqualsNormalizedIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var collisions, distincts int
 	// Iteration count is sized to the job space: independent draws collide
-	// with probability ~1e-4, so 100k pairs see collisions reliably while
+	// with probability ~2e-4, so 100k pairs see collisions reliably while
 	// the whole test stays well under a second.
 	for i := 0; i < 100_000; i++ {
 		a, b := randomJob(rng), randomJob(rng)
@@ -143,33 +124,32 @@ func TestKeyDefaultedNodeCollides(t *testing.T) {
 	}
 }
 
-// TestKeySamplingSuffix pins the sampled-key contract: exact jobs keep the
-// historical unsuffixed key (stray fields on a disabled schedule included —
-// they normalize away), and enabled schedules append a suffix so sampled
-// estimates can never answer a cache lookup for an exact result.
-func TestKeySamplingSuffix(t *testing.T) {
-	exact := Job{Workload: "vpr", Arch: sim.ArchFlywheel, FEBoostPct: 50}
-	stray := exact
-	stray.Sampling = sim.Sampling{WindowInsts: 9_999, Seed: 42} // Period 0: disabled
-	if exact.Key() != stray.Key() {
-		t.Fatalf("disabled schedule with stray fields forked the exact key:\n  %q\n  %q", exact.Key(), stray.Key())
-	}
-	if k := exact.Key(); strings.Contains(k, "samp=") {
-		t.Fatalf("exact key carries a sampling suffix: %q", k)
-	}
-	sampled := exact
-	sampled.Sampling = sim.Sampling{Period: 60_000}
-	if sampled.Key() == exact.Key() {
-		t.Fatalf("sampled and exact jobs collide: %q", exact.Key())
-	}
-	// Defaulted and explicit forms of the same schedule are one experiment.
-	explicit := exact
-	explicit.Sampling = sim.Sampling{
-		Period: 60_000, WindowInsts: sample.DefaultWindowInsts,
-		WarmupInsts: sample.DefaultWarmupInsts, Seed: 1,
-	}
-	if sampled.Key() != explicit.Key() {
-		t.Fatalf("defaulted and explicit schedules differ:\n  %q\n  %q", sampled.Key(), explicit.Key())
+// TestKeyGolden pins the key encoding literally. The on-disk store
+// addresses entries by these strings and recorded job lists refer to runs
+// by them, so any change to the format, the field order or the defaulting
+// orphans every stored result.
+func TestKeyGolden(t *testing.T) {
+	for _, tc := range []struct {
+		job  Job
+		want string
+	}{
+		{
+			Job{Workload: "gzip"},
+			`wl="gzip"|arch=0|node=0.13|fe=0|be=0|n=0|fes=0|pws=false|pred="gshare"|pf="none"`,
+		},
+		{
+			Job{
+				Workload: `a|b="c"`, Arch: sim.ArchRegAlloc, Node: cacti.Node90,
+				FEBoostPct: 50, BEBoostPct: 25, MaxInstructions: 300_000,
+				Predictor: "tage", Prefetcher: "delta",
+				ExtraFrontEndStages: 2, PipelinedWakeupSelect: true,
+			},
+			`wl="a|b=\"c\""|arch=2|node=0.09|fe=50|be=25|n=300000|fes=2|pws=true|pred="tage"|pf="delta"`,
+		},
+	} {
+		if got := tc.job.Key(); got != tc.want {
+			t.Errorf("Key() of %+v:\n got %s\nwant %s", tc.job, got, tc.want)
+		}
 	}
 }
 
@@ -185,21 +165,6 @@ func TestKeySingleFieldPerturbation(t *testing.T) {
 		func(j *Job) { j.MaxInstructions += 1 },
 		func(j *Job) { j.ExtraFrontEndStages++ },
 		func(j *Job) { j.PipelinedWakeupSelect = !j.PipelinedWakeupSelect },
-		func(j *Job) { j.Sampling.Period += 1_000 },
-		func(j *Job) {
-			if j.Sampling.Enabled() {
-				j.Sampling.Seed += 7
-			} else {
-				j.Sampling = sim.Sampling{Period: 45_000}
-			}
-		},
-		func(j *Job) {
-			if j.Sampling.Enabled() {
-				j.Sampling.WindowInsts = j.Sampling.WindowInsts%16_000 + 100
-			} else {
-				j.Sampling = sim.Sampling{Period: 45_000, WindowInsts: 3_000}
-			}
-		},
 	}
 	for i := 0; i < 500; i++ {
 		j := randomJob(rng)

@@ -46,11 +46,6 @@ type Job struct {
 	// Figure 2 baseline variants.
 	ExtraFrontEndStages   int
 	PipelinedWakeupSelect bool
-
-	// Sampling selects sampled execution (zero value: exact). Sampled
-	// results are estimates, so they memoize under distinct keys — an
-	// exact run never answers for a sampled one or vice versa.
-	Sampling sim.Sampling
 }
 
 func (j Job) normalize() Job {
@@ -63,7 +58,6 @@ func (j Job) normalize() Job {
 	if j.Prefetcher == "" {
 		j.Prefetcher = mem.PFNone
 	}
-	j.Sampling = j.Sampling.Normalize()
 	return j
 }
 
@@ -77,22 +71,12 @@ func (j Job) normalize() Job {
 // processes; the on-disk store addresses entries by it.
 func (j Job) Key() string {
 	j = j.normalize()
-	k := fmt.Sprintf("wl=%s|arch=%d|node=%s|fe=%d|be=%d|n=%d|fes=%d|pws=%t|pred=%s|pf=%s",
+	return fmt.Sprintf("wl=%s|arch=%d|node=%s|fe=%d|be=%d|n=%d|fes=%d|pws=%t|pred=%s|pf=%s",
 		strconv.Quote(j.Workload), j.Arch,
 		strconv.FormatFloat(float64(j.Node), 'g', -1, 64),
 		j.FEBoostPct, j.BEBoostPct, j.MaxInstructions,
 		j.ExtraFrontEndStages, j.PipelinedWakeupSelect,
 		strconv.Quote(j.Predictor), strconv.Quote(j.Prefetcher))
-	// Exact jobs keep their historical key byte-for-byte (the on-disk
-	// store addresses entries by it); sampled jobs append the normalized
-	// schedule. Normalize collapses disabled configs to the zero value, so
-	// a stray WindowInsts on an exact job cannot fork its key, and an
-	// enabled schedule always has all four fields non-zero — no ambiguity
-	// with the unsuffixed form.
-	if s := j.Sampling; s.Enabled() {
-		k += fmt.Sprintf("|samp=%d,%d,%d,%d", s.Period, s.WindowInsts, s.WarmupInsts, s.Seed)
-	}
-	return k
 }
 
 // Config converts the job to the simulator's run configuration.
@@ -109,7 +93,6 @@ func (j Job) Config() sim.RunConfig {
 		Prefetcher:            j.Prefetcher,
 		ExtraFrontEndStages:   j.ExtraFrontEndStages,
 		PipelinedWakeupSelect: j.PipelinedWakeupSelect,
-		Sampling:              j.Sampling,
 	}
 }
 

@@ -17,18 +17,14 @@
 //	                   explore CLI flags (ilp, entropy, fp, mem, stride,
 //	                   rr, code, period, chase, stridebytes, seed, passes,
 //	                   arch, predictor, prefetcher, fe, be, node, n,
-//	                   tier, margin, audit, auditseed, sample_period,
-//	                   window, sample_warmup, sample_seed). tier=analytic
-//	                   screens the grid with a calibrated closed-form
-//	                   model and simulates only cells near the predicted
-//	                   frontier; tier=auto picks by grid size; tier=sampled
-//	                   runs every cell with sampled execution (periodic
-//	                   detailed windows over fast-forwarded warming, with
-//	                   confidence intervals). sample_period with
-//	                   tier=analytic/auto inserts the sampled middle tier
-//	                   and escalates only CI-ambiguous cells to exact. The
-//	                   calibration runs flow through the shared cache, so
-//	                   they persist in the store like any sweep job.
+//	                   tier, margin, audit, auditseed); any other
+//	                   parameter is a 400. tier=exact (the default)
+//	                   simulates every cell; tier=analytic screens the
+//	                   grid with a calibrated closed-form model and
+//	                   simulates only cells near the predicted frontier;
+//	                   tier=auto picks by grid size. The calibration runs
+//	                   flow through the shared cache, so they persist in
+//	                   the store like any sweep job.
 //	GET  /v1/stats     cache hit/miss/in-flight counters, store size,
 //	                   uptime and the store version stamp.
 //	GET  /v1/health    liveness probe: {"status":"ok",...}, the store
@@ -48,9 +44,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"log"
+	"maps"
 	"net/http"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -60,7 +58,6 @@ import (
 	"flywheel/internal/explore"
 	"flywheel/internal/lab"
 	"flywheel/internal/lab/store"
-	"flywheel/internal/sample"
 	"flywheel/internal/sim"
 	"flywheel/internal/trace"
 )
@@ -120,9 +117,6 @@ type StatsReply struct {
 	// is the service's observed screening leverage.
 	AnalyticCells  uint64 `json:"analytic_cells"`
 	ConfirmedCells uint64 `json:"confirmed_cells"`
-	// SampledCells counts grid cells evaluated with sampled execution
-	// (tier=sampled grids and the three-tier middle stage alike).
-	SampledCells uint64 `json:"sampled_cells"`
 	// Scrubs counts /v1/scrub passes served; QuarantinedFiles totals the
 	// corrupt files those passes moved aside.
 	Scrubs           uint64 `json:"scrubs"`
@@ -177,11 +171,6 @@ type FrontierPoint struct {
 	L2HitRate   float64 `json:"l2_hit"`
 	PfAccuracy  float64 `json:"pf_acc"`
 	PfCoverage  float64 `json:"pf_cov"`
-	// Sampled marks points whose metrics are sampled-execution estimates;
-	// the CI fields carry their 95% relative confidence intervals.
-	Sampled       bool    `json:"sampled,omitempty"`
-	IPCRelCI95    float64 `json:"ipc_rel_ci95,omitempty"`
-	EnergyRelCI95 float64 `json:"energy_rel_ci95,omitempty"`
 }
 
 // FrontierReply is the /v1/frontier body. Tiered queries (tier=analytic,
@@ -203,14 +192,6 @@ type FrontierReply struct {
 	// PredictionErr compares the model against the simulator on the
 	// confirmed cells — measured, not in-sample, error.
 	PredictionErr *analytic.Summary `json:"prediction_err,omitempty"`
-
-	// SampledCells / EscalatedCells describe the sampled middle tier of a
-	// three-tier query: cells evaluated with sampled execution, and the
-	// subset whose confidence interval forced an exact re-run. SampledErr
-	// compares the sampled estimates against exact on the escalated cells.
-	SampledCells   int               `json:"sampled_cells,omitempty"`
-	EscalatedCells int               `json:"escalated_cells,omitempty"`
-	SampledErr     *analytic.Summary `json:"sampled_err,omitempty"`
 }
 
 // Server fronts one shared cache. Every request — sweep or frontier, any
@@ -230,7 +211,6 @@ type Server struct {
 	canceledJobs   atomic.Uint64
 	analyticCells  atomic.Uint64
 	confirmedCells atomic.Uint64
-	sampledCells   atomic.Uint64
 	scrubs         atomic.Uint64
 	quarantined    atomic.Uint64
 
@@ -439,9 +419,24 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// frontierParams lists every /v1/frontier query parameter. Any other
+// parameter is rejected, as /v1/sweep rejects unknown JSON fields, so a
+// misspelled or retired parameter cannot silently change the query.
+var frontierParams = []string{
+	"ilp", "entropy", "fp", "mem", "stride", "rr", "code", "period", "chase",
+	"stridebytes", "arch", "predictor", "prefetcher", "fe", "be", "node",
+	"seed", "passes", "n", "tier", "margin", "audit", "auditseed",
+}
+
 func (s *Server) handleFrontier(w http.ResponseWriter, r *http.Request) {
 	axes := explore.DefaultAxes()
 	q := r.URL.Query()
+	for _, name := range slices.Sorted(maps.Keys(q)) {
+		if !slices.Contains(frontierParams, name) {
+			http.Error(w, fmt.Sprintf("labd: unknown frontier parameter %q", name), http.StatusBadRequest)
+			return
+		}
+	}
 	get := func(name string, dst *string) {
 		if v := q.Get(name); v != "" {
 			*dst = v
@@ -490,39 +485,12 @@ func (s *Server) handleFrontier(w http.ResponseWriter, r *http.Request) {
 
 	tier := q.Get("tier")
 	switch tier {
-	case "", "exact", "sampled", "analytic", "auto":
+	case "", "exact", "analytic", "auto":
 	default:
-		http.Error(w, fmt.Sprintf("labd: unknown tier %q (want exact, sampled, analytic or auto)", tier), http.StatusBadRequest)
+		http.Error(w, fmt.Sprintf("labd: unknown tier %q (want exact, analytic or auto)", tier), http.StatusBadRequest)
 		return
 	}
-	var sampling sim.Sampling
-	for _, f := range []struct {
-		name string
-		dst  *uint64
-	}{
-		{"sample_period", &sampling.Period},
-		{"window", &sampling.WindowInsts},
-		{"sample_warmup", &sampling.WarmupInsts},
-		{"sample_seed", &sampling.Seed},
-	} {
-		if v := q.Get(f.name); v != "" {
-			u, err := strconv.ParseUint(v, 10, 64)
-			if err != nil {
-				http.Error(w, "labd: bad "+f.name+": "+err.Error(), http.StatusBadRequest)
-				return
-			}
-			*f.dst = u
-		}
-	}
-	if tier == "sampled" && sampling.Period == 0 {
-		sampling.Period = sample.DefaultPeriod
-	}
-	sampling = sampling.Normalize()
-	if err := sampling.Validate(); err != nil {
-		http.Error(w, "labd: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	topt := explore.TieredOptions{Audit: explore.DefaultAudit, AuditSeed: 1, Sampling: sampling}
+	topt := explore.TieredOptions{Audit: explore.DefaultAudit, AuditSeed: 1}
 	if v := q.Get("margin"); v != "" {
 		m, err := strconv.ParseFloat(v, 64)
 		if err != nil {
@@ -583,7 +551,6 @@ func (s *Server) handleFrontier(w http.ResponseWriter, r *http.Request) {
 		}
 		s.analyticCells.Add(uint64(len(rep.Predicted) - len(rep.Confirmed)))
 		s.confirmedCells.Add(uint64(len(rep.Confirmed)))
-		s.sampledCells.Add(uint64(rep.SampledCells))
 		reply := FrontierReply{
 			GridPoints:     len(rep.Predicted),
 			Tier:           "analytic",
@@ -592,29 +559,6 @@ func (s *Server) handleFrontier(w http.ResponseWriter, r *http.Request) {
 			ConfirmedCells: len(rep.Confirmed),
 			Margin:         rep.Margin,
 			PredictionErr:  &rep.Err,
-		}
-		if rep.SampledCells > 0 {
-			reply.SampledCells = rep.SampledCells
-			reply.EscalatedCells = rep.EscalatedCells
-			reply.SampledErr = &rep.SampledErr
-		}
-		for _, p := range rep.Frontier() {
-			reply.Frontier = append(reply.Frontier, frontierPoint(p))
-		}
-		s.writeJSON(w, r, reply)
-		return
-	}
-
-	if tier == "sampled" {
-		rep, err := explore.ExploreSampled(space, sampling, opt)
-		if err != nil {
-			http.Error(w, "labd: "+err.Error(), http.StatusInternalServerError)
-			return
-		}
-		s.sampledCells.Add(uint64(len(rep.Points)))
-		reply := FrontierReply{
-			GridPoints: len(rep.Points), Tier: "sampled",
-			Frontier: []FrontierPoint{}, SampledCells: len(rep.Points),
 		}
 		for _, p := range rep.Frontier() {
 			reply.Frontier = append(reply.Frontier, frontierPoint(p))
@@ -637,7 +581,7 @@ func (s *Server) handleFrontier(w http.ResponseWriter, r *http.Request) {
 
 // frontierPoint shapes one explore point for the wire.
 func frontierPoint(p explore.Point) FrontierPoint {
-	fp := FrontierPoint{
+	return FrontierPoint{
 		Profile:     p.Profile.String(),
 		Arch:        p.Arch.String(),
 		Node:        float64(p.Node),
@@ -655,12 +599,6 @@ func frontierPoint(p explore.Point) FrontierPoint {
 		PfAccuracy:  p.Result.PrefetchAccuracy,
 		PfCoverage:  p.Result.PrefetchCoverage,
 	}
-	if st := p.Result.Sampled; st != nil {
-		fp.Sampled = true
-		fp.IPCRelCI95 = st.IPCRelCI95
-		fp.EnergyRelCI95 = st.EnergyRelCI95
-	}
-	return fp
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -674,7 +612,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		CanceledJobs:     s.canceledJobs.Load(),
 		AnalyticCells:    s.analyticCells.Load(),
 		ConfirmedCells:   s.confirmedCells.Load(),
-		SampledCells:     s.sampledCells.Load(),
 		Scrubs:           s.scrubs.Load(),
 		QuarantinedFiles: s.quarantined.Load(),
 		Frontend: FrontendStats{

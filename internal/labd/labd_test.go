@@ -6,6 +6,7 @@ package labd_test
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -244,6 +245,7 @@ func TestFrontierBadQuery(t *testing.T) {
 	for _, q := range []string{
 		"?node=0.42", "?seed=x", "?n=x", "?arch=vliw", "?ilp=abc",
 		"?tier=bogus", "?margin=x", "?audit=x", "?auditseed=x",
+		"?bogus=1", "?ILP=4", "?ilp=4&n=2000&extra=",
 	} {
 		resp, err := http.Get(ts.URL + "/v1/frontier" + q)
 		if err != nil {
@@ -376,121 +378,36 @@ func TestFrontierTierAuto(t *testing.T) {
 	}
 }
 
-// TestFrontierTierSampled: a sampled-tier query runs every cell (baselines
-// included) under the sampled schedule, marks its frontier points with
-// confidence intervals, counts the cells in /v1/stats, and is
-// deterministic across identical queries.
-func TestFrontierTierSampled(t *testing.T) {
+// TestFrontierRejectsSampledTierParams: the sampled tier is gone, and its
+// inputs are rejected loudly. A removed tier value or sampling parameter
+// is a 400 that names it, and no simulation runs. Before unknown
+// parameters were rejected, tier=analytic&sample_period=60000 would have
+// quietly returned a two-tier answer.
+func TestFrontierRejectsSampledTierParams(t *testing.T) {
 	cache := lab.NewCache()
-	_, client := startServer(t, cache)
-	params := map[string]string{
-		"ilp": "1", "entropy": "0", "mem": "4", "code": "1",
-		"passes": "1", "fe": "0,50", "n": "60000",
-		"tier": "sampled", "sample_period": "12000", "window": "1000",
-		"sample_warmup": "500",
-	}
-	reply, err := client.Frontier(params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reply.Tier != "sampled" {
-		t.Fatalf("tier %q, want sampled", reply.Tier)
-	}
-	if reply.GridPoints != 2 || reply.SampledCells != 2 {
-		t.Fatalf("grid %d / sampled %d, want 2 / 2", reply.GridPoints, reply.SampledCells)
-	}
-	if len(reply.Frontier) == 0 {
-		t.Fatal("empty sampled frontier")
-	}
-	for _, p := range reply.Frontier {
-		if !p.Sampled {
-			t.Fatalf("sampled-tier frontier point not marked sampled: %+v", p)
-		}
-		if p.IPCRelCI95 <= 0 || p.EnergyRelCI95 <= 0 {
-			t.Fatalf("frontier point lacks confidence intervals: %+v", p)
-		}
-		if p.Speedup <= 0 || p.EnergyRatio <= 0 {
-			t.Fatalf("implausible frontier point: %+v", p)
-		}
-	}
-	st, err := client.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.SampledCells != uint64(reply.SampledCells) {
-		t.Fatalf("stats sampled_cells %d, reply said %d", st.SampledCells, reply.SampledCells)
-	}
-
-	// Identical query → identical reply from the warm cache.
-	misses := cache.Misses()
-	again, err := client.Frontier(params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, _ := json.Marshal(reply)
-	b, _ := json.Marshal(again)
-	if string(a) != string(b) {
-		t.Fatalf("sampled frontier not deterministic:\n%s\n%s", a, b)
-	}
-	if cache.Misses() != misses {
-		t.Fatalf("repeat query simulated %d new cells", cache.Misses()-misses)
-	}
-}
-
-// TestFrontierThreeTier: sample_period on an analytic query inserts the
-// sampled middle tier — the reply reports sampled and escalated cell
-// counts plus a sampled-vs-exact error summary, and /v1/stats accrues
-// sampled_cells alongside the two-tier counters.
-func TestFrontierThreeTier(t *testing.T) {
-	_, client := startServer(t, lab.NewCache())
-	reply, err := client.Frontier(map[string]string{
-		"ilp": "1,4", "entropy": "0,1", "mem": "4", "code": "1",
-		"passes": "1", "fe": "0,25,50,75,100", "be": "0,50,100", "n": "60000",
-		"tier": "analytic", "sample_period": "12000", "window": "1000",
-		"sample_warmup": "500",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reply.Tier != "analytic" {
-		t.Fatalf("tier %q, want analytic", reply.Tier)
-	}
-	if reply.SampledCells != reply.ConfirmedCells {
-		t.Fatalf("sampled %d cells but confirmed %d — middle tier must cover the whole shortlist",
-			reply.SampledCells, reply.ConfirmedCells)
-	}
-	if reply.EscalatedCells <= 0 || reply.EscalatedCells > reply.SampledCells {
-		t.Fatalf("escalated %d of %d sampled cells", reply.EscalatedCells, reply.SampledCells)
-	}
-	if reply.SampledErr == nil || reply.SampledErr.Cells != reply.EscalatedCells {
-		t.Fatalf("sampled error summary %+v does not cover the %d escalated cells",
-			reply.SampledErr, reply.EscalatedCells)
-	}
-	st, err := client.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.SampledCells != uint64(reply.SampledCells) || st.ConfirmedCells != uint64(reply.ConfirmedCells) {
-		t.Fatalf("stats %d sampled / %d confirmed, reply said %d / %d",
-			st.SampledCells, st.ConfirmedCells, reply.SampledCells, reply.ConfirmedCells)
-	}
-}
-
-// TestFrontierBadSamplingQuery: malformed or infeasible sampling
-// parameters are usage errors, not 500s.
-func TestFrontierBadSamplingQuery(t *testing.T) {
-	ts, _ := startServer(t, lab.NewCache())
-	for _, q := range []string{
-		"?sample_period=x", "?window=x", "?sample_warmup=x", "?sample_seed=x",
-		"?tier=sampled&sample_period=1000&window=2000",
+	ts, _ := startServer(t, cache)
+	for _, tc := range []struct{ query, names string }{
+		{"?tier=sampled", `"sampled"`},
+		{"?sample_period=60000", `"sample_period"`},
+		{"?tier=analytic&sample_period=60000", `"sample_period"`},
+		{"?window=1000", `"window"`},
+		{"?sample_warmup=500", `"sample_warmup"`},
+		{"?sample_seed=3", `"sample_seed"`},
 	} {
-		resp, err := http.Get(ts.URL + "/v1/frontier" + q)
+		resp, err := http.Get(ts.URL + "/v1/frontier" + tc.query)
 		if err != nil {
 			t.Fatal(err)
 		}
+		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("query %q: status %d, want 400", q, resp.StatusCode)
+			t.Errorf("query %q: status %d, want 400", tc.query, resp.StatusCode)
 		}
+		if !strings.Contains(string(body), tc.names) {
+			t.Errorf("query %q: error %q does not name %s", tc.query, body, tc.names)
+		}
+	}
+	if n := cache.Misses(); n != 0 {
+		t.Fatalf("rejected queries simulated %d jobs", n)
 	}
 }

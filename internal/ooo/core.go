@@ -32,15 +32,8 @@ type Core struct {
 	unblockAt       int64
 	unblockInst     *pipe.DynInst
 
-	halted  bool
-	sawHalt bool
-	stats   Stats
-
-	// Retirement marks for sampled execution: markFn fires with a stats
-	// snapshot the first time Retired reaches each ascending mark.
-	marks    []uint64
-	markFn   func(i int, s Stats)
-	nextMark int
+	halted bool
+	stats  Stats
 }
 
 // New builds a core around the given oracle source: a live *emu.Stream, a
@@ -79,13 +72,6 @@ func (c *Core) Run() (Stats, error) {
 	for !c.halted {
 		now, _ := c.sys.Advance()
 		c.cycle(now)
-
-		if c.markFn != nil {
-			for c.nextMark < len(c.marks) && c.stats.Retired >= c.marks[c.nextMark] {
-				c.markFn(c.nextMark, c.StatsSnapshot())
-				c.nextMark++
-			}
-		}
 		if c.cfg.MaxCycles > 0 && c.domain.Cycles > c.cfg.MaxCycles {
 			return c.stats, fmt.Errorf("ooo: exceeded max cycles (%d)", c.cfg.MaxCycles)
 		}
@@ -103,28 +89,6 @@ func (c *Core) Run() (Stats, error) {
 	}
 	c.finalizeStats()
 	return c.stats, nil
-}
-
-// SetMarks arranges for fn to be called with a statistics snapshot the
-// first time the retired-instruction count reaches each mark (ascending).
-// Sampled execution sets two marks per detailed window to delimit the
-// measurement interval. Replaces any previous marks.
-func (c *Core) SetMarks(marks []uint64, fn func(i int, s Stats)) {
-	c.marks, c.markFn, c.nextMark = marks, fn, 0
-}
-
-// Resume clears the end-of-stream halt so Run can be called again after
-// the instruction source is replenished; sampled execution resumes the
-// same core for each detailed window so that predictor, cache, and queue
-// state carry across. It reports false if the program truly halted
-// (retired a HALT) — there is nothing left to run then.
-func (c *Core) Resume() bool {
-	if c.sawHalt {
-		return false
-	}
-	c.halted = false
-	c.fetcher.Reopen()
-	return true
 }
 
 // cycle executes one clock edge, stages in reverse pipeline order so that
@@ -166,7 +130,6 @@ func (c *Core) retire(now int64) {
 		c.arena.Free(head)
 		if halt {
 			c.halted = true
-			c.sawHalt = true
 			return
 		}
 	}

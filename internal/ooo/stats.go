@@ -1,7 +1,6 @@
 package ooo
 
 import (
-	"flywheel/internal/branch"
 	"flywheel/internal/mem"
 	"flywheel/internal/pipe"
 )
@@ -48,19 +47,12 @@ type Stats struct {
 	CondBranches uint64
 	Prefetch     mem.PrefetchStats
 	Demand       mem.DemandStats
-
-	// Pred is the raw predictor counter block; sampled execution
-	// differences it across window marks to compute per-window accuracy.
-	Pred branch.Stats
 }
 
-func (c *Core) finalizeStats() { c.stats = c.StatsSnapshot() }
-
-// StatsSnapshot returns the statistics as of now with derived metrics
-// filled in. It does not disturb the running counters and may be called
-// repeatedly; sampled execution reads it at window marks.
-func (c *Core) StatsSnapshot() Stats {
-	s := c.stats
+// finalizeStats fills in the derived metrics and the counters kept by the
+// pipeline structures.
+func (c *Core) finalizeStats() {
+	s := &c.stats
 	s.Cycles = c.domain.Cycles
 	s.TimePS = c.sys.Now()
 	s.Fetched = c.fetcher.Fetched
@@ -81,8 +73,6 @@ func (c *Core) StatsSnapshot() Stats {
 	s.CondBranches = c.pred.Stats.CondBranches
 	s.Prefetch = c.hier.PrefetchStats()
 	s.Demand = c.hier.DemandStats()
-	s.Pred = c.pred.Stats
-	return s
 }
 
 // Stats returns the current statistics (final after Run returns).

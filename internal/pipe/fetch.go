@@ -99,12 +99,6 @@ func (f *Fetcher) BlockedOn() *DynInst { return f.blockedOn }
 // Done reports whether the instruction stream is exhausted.
 func (f *Fetcher) Done() bool { return f.done && f.pending == nil }
 
-// Reopen clears the end-of-stream latch so fetch resumes pulling from the
-// source. Sampled execution uses it between detailed windows: the source is
-// a budget gate that reads empty at a window's end and is refilled before
-// the next one.
-func (f *Fetcher) Reopen() { f.done = false }
-
 // Unblock resumes fetch after the mispredicted instruction d resolved.
 func (f *Fetcher) Unblock(d *DynInst) {
 	if f.blockedOn == d {

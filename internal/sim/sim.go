@@ -15,6 +15,7 @@ import (
 	"flywheel/internal/emu"
 	"flywheel/internal/mem"
 	"flywheel/internal/ooo"
+	"flywheel/internal/pipe"
 	"flywheel/internal/power"
 	"flywheel/internal/workload"
 )
@@ -72,12 +73,6 @@ type RunConfig struct {
 	// Figure 2 baseline variants.
 	ExtraFrontEndStages   int
 	PipelinedWakeupSelect bool
-
-	// Sampling, when enabled (Period > 0), runs the simulation in sampled
-	// mode: detailed windows at a systematic period over a fast-forwarded,
-	// functionally warmed replay, with confidence intervals across the
-	// windows in Result.Sampled. The zero value is exact execution.
-	Sampling Sampling
 }
 
 // normalizeFrontend canonicalizes the frontend selections ("" becomes the
@@ -131,15 +126,9 @@ type Result struct {
 	AvgDataCycles    float64
 	DemandL2HitRate  float64
 
-	// Full per-core statistics for detailed reporting. Nil for sampled
-	// runs: cumulative core counters mix warm-up and measurement intervals
-	// there, so only the window-delta aggregates above are meaningful.
+	// Full per-core statistics for detailed reporting.
 	Baseline *ooo.Stats
 	Flywheel *core.Stats
-
-	// Sampled is present only for sampled runs (RunConfig.Sampling
-	// enabled): window coverage and per-metric confidence intervals.
-	Sampled *SampledStats
 }
 
 // Speedup returns other's execution time divided by r's (how much faster r
@@ -167,23 +156,15 @@ func Run(cfg RunConfig) (Result, error) {
 	if err := cfg.normalizeFrontend(); err != nil {
 		return Result{}, err
 	}
-	cfg.Sampling = cfg.Sampling.Normalize()
-	if err := cfg.Sampling.Validate(); err != nil {
-		return Result{}, err
-	}
 	ws, err := workloadSnapshot(w)
 	if err != nil {
 		return Result{}, err
 	}
-	if cfg.Sampling.Enabled() {
-		return runSampled(cfg, w, ws)
-	}
 	return runExact(cfg, w, ws, nil)
 }
 
-// runExact simulates the normalized cfg exactly over w, warmed from ws.
-// editMem, when non-nil, edits the modelled memory hierarchy before the
-// core is built (the warm-log exactness tests vary cache line sizes).
+// runExact simulates the normalized cfg exactly over w, warmed from ws
+// (editMem as for simulate).
 func runExact(cfg RunConfig, w *workload.Workload, ws *warmSnapshot, editMem func(*mem.HierarchyConfig)) (Result, error) {
 	// The instruction stream comes from the trace cache: the first run of a
 	// workload records the functional emulator's output while consuming it,
@@ -202,85 +183,75 @@ func runExact(cfg RunConfig, w *workload.Workload, ws *warmSnapshot, editMem fun
 			finish(fmt.Errorf("sim %s/%s: run aborted", cfg.Workload, cfg.Arch))
 		}
 	}()
-	period := cacti.BaselinePeriodPS(cfg.Node)
-
-	tech, err := power.Tech(cfg.Node)
-	if err != nil {
-		finish(err)
-		finished = true
-		return Result{}, err
-	}
-
-	// Functional warming: seed the core's caches and branch predictor with
-	// the initialization phase's recorded observations so measurement
-	// starts from realistic state (the paper fast-forwards 500M
-	// instructions).
-	res := Result{Config: cfg}
-	runErr := func() error {
-		switch cfg.Arch {
-		case ArchBaseline:
-			bc := baselineConfig(cfg, period)
-			if editMem != nil {
-				editMem(&bc.Mem)
-			}
-			c := ooo.New(bc, stream)
-			if err := ws.warm(c.Warmer(), w, bc.Mem, bc.Branch); err != nil {
-				return err
-			}
-			stats, err := c.Run()
-			if err != nil {
-				return fmt.Errorf("sim %s/%s: %w", cfg.Workload, cfg.Arch, err)
-			}
-			rep := power.Compute(baselineActivity(stats), power.BaselineShape(), tech)
-			res.TimePS = stats.TimePS
-			res.Cycles = stats.Cycles
-			res.Retired = stats.Retired
-			res.IPC = stats.IPC
-			res.Mispredicts = stats.Mispredicts
-			res.BranchAccuracy = stats.BranchAccuracy
-			res.fillFrontend(stats.CondBranches, stats.Prefetch, stats.Demand)
-			res.EnergyPJ = rep.TotalPJ
-			res.PowerW = rep.AvgPowerW
-			res.LeakageFrac = rep.LeakageFrac
-			res.Baseline = &stats
-		case ArchFlywheel, ArchRegAlloc:
-			fc := flywheelConfig(cfg, period)
-			if editMem != nil {
-				editMem(&fc.Mem)
-			}
-			c := core.New(fc, stream)
-			if err := ws.warm(c.Warmer(), w, fc.Mem, fc.Branch); err != nil {
-				return err
-			}
-			stats, err := c.Run()
-			if err != nil {
-				return fmt.Errorf("sim %s/%s: %w", cfg.Workload, cfg.Arch, err)
-			}
-			rep := power.Compute(stats.Activity(), power.FlywheelShape(), tech)
-			res.TimePS = stats.TimePS
-			res.Cycles = stats.Cycles()
-			res.Retired = stats.Retired
-			res.IPC = stats.IPC
-			res.Mispredicts = stats.Mispredicts
-			res.BranchAccuracy = stats.BranchAccuracy
-			res.fillFrontend(stats.CondBranches, stats.Prefetch, stats.Demand)
-			res.ECResidency = stats.ECResidency
-			res.Divergences = stats.Divergences
-			res.TraceStats = stats.EC
-			res.EnergyPJ = rep.TotalPJ
-			res.PowerW = rep.AvgPowerW
-			res.LeakageFrac = rep.LeakageFrac
-			res.Flywheel = &stats
-		default:
-			return fmt.Errorf("sim: unknown architecture %d", cfg.Arch)
-		}
-		return nil
-	}()
+	res, runErr := simulate(cfg, cfg.Workload, stream, w, ws, editMem)
 	finish(runErr)
 	finished = true
-	if runErr != nil {
-		return Result{}, runErr
+	return res, runErr
+}
+
+// simulate runs cfg's timing core over stream and assembles the Result:
+// the core's statistics and power.Compute at the run's node. With a
+// non-nil w the core is first warmed from ws, the recorded observations
+// of the workload's initialization phase (the paper fast-forwards 500M
+// instructions); with a nil w it starts cold. editMem, when non-nil, edits
+// the modelled memory hierarchy before the core is built (the warm-log
+// exactness tests vary cache line sizes). name labels core errors.
+func simulate(cfg RunConfig, name string, stream pipe.InstSource, w *workload.Workload, ws *warmSnapshot, editMem func(*mem.HierarchyConfig)) (Result, error) {
+	period := cacti.BaselinePeriodPS(cfg.Node)
+	tech, err := power.Tech(cfg.Node)
+	if err != nil {
+		return Result{}, err
 	}
+	res := Result{Config: cfg}
+	var act power.Activity
+	var shape power.MachineShape
+	switch cfg.Arch {
+	case ArchBaseline:
+		bc := baselineConfig(cfg, period)
+		if editMem != nil {
+			editMem(&bc.Mem)
+		}
+		c := ooo.New(bc, stream)
+		if w != nil {
+			if err := ws.warm(c.Warmer(), w, bc.Mem, bc.Branch); err != nil {
+				return Result{}, err
+			}
+		}
+		stats, err := c.Run()
+		if err != nil {
+			return Result{}, fmt.Errorf("sim %s/%s: %w", name, cfg.Arch, err)
+		}
+		act, shape = baselineActivity(stats), power.BaselineShape()
+		res.TimePS, res.Cycles, res.Retired, res.IPC = stats.TimePS, stats.Cycles, stats.Retired, stats.IPC
+		res.Mispredicts, res.BranchAccuracy = stats.Mispredicts, stats.BranchAccuracy
+		res.fillFrontend(stats.CondBranches, stats.Prefetch, stats.Demand)
+		res.Baseline = &stats
+	case ArchFlywheel, ArchRegAlloc:
+		fc := flywheelConfig(cfg, period)
+		if editMem != nil {
+			editMem(&fc.Mem)
+		}
+		c := core.New(fc, stream)
+		if w != nil {
+			if err := ws.warm(c.Warmer(), w, fc.Mem, fc.Branch); err != nil {
+				return Result{}, err
+			}
+		}
+		stats, err := c.Run()
+		if err != nil {
+			return Result{}, fmt.Errorf("sim %s/%s: %w", name, cfg.Arch, err)
+		}
+		act, shape = stats.Activity(), power.FlywheelShape()
+		res.TimePS, res.Cycles, res.Retired, res.IPC = stats.TimePS, stats.Cycles(), stats.Retired, stats.IPC
+		res.Mispredicts, res.BranchAccuracy = stats.Mispredicts, stats.BranchAccuracy
+		res.fillFrontend(stats.CondBranches, stats.Prefetch, stats.Demand)
+		res.ECResidency, res.Divergences, res.TraceStats = stats.ECResidency, stats.Divergences, stats.EC
+		res.Flywheel = &stats
+	default:
+		return Result{}, fmt.Errorf("sim: unknown architecture %d", cfg.Arch)
+	}
+	rep := power.Compute(act, shape, tech)
+	res.EnergyPJ, res.PowerW, res.LeakageFrac = rep.TotalPJ, rep.AvgPowerW, rep.LeakageFrac
 	return res, nil
 }
 
@@ -372,46 +343,5 @@ func RunSource(name, source string, cfg RunConfig) (Result, error) {
 	if err := cfg.normalizeFrontend(); err != nil {
 		return Result{}, err
 	}
-	if cfg.Sampling.Enabled() {
-		return Result{}, fmt.Errorf("sim: sampled execution needs the trace-cache path; RunSource is exact-only")
-	}
-	m := ws.machine()
-	limit := cfg.MaxInstructions
-	stream := emu.NewStream(m, limit)
-	period := cacti.BaselinePeriodPS(cfg.Node)
-	tech, err := power.Tech(cfg.Node)
-	if err != nil {
-		return Result{}, err
-	}
-	res := Result{Config: cfg}
-	switch cfg.Arch {
-	case ArchBaseline:
-		c := ooo.New(baselineConfig(cfg, period), stream)
-		stats, err := c.Run()
-		if err != nil {
-			return Result{}, fmt.Errorf("sim %s/%s: %w", name, cfg.Arch, err)
-		}
-		rep := power.Compute(baselineActivity(stats), power.BaselineShape(), tech)
-		res.TimePS, res.Cycles, res.Retired, res.IPC = stats.TimePS, stats.Cycles, stats.Retired, stats.IPC
-		res.Mispredicts, res.BranchAccuracy = stats.Mispredicts, stats.BranchAccuracy
-		res.fillFrontend(stats.CondBranches, stats.Prefetch, stats.Demand)
-		res.EnergyPJ, res.PowerW, res.LeakageFrac = rep.TotalPJ, rep.AvgPowerW, rep.LeakageFrac
-		res.Baseline = &stats
-	case ArchFlywheel, ArchRegAlloc:
-		c := core.New(flywheelConfig(cfg, period), stream)
-		stats, err := c.Run()
-		if err != nil {
-			return Result{}, fmt.Errorf("sim %s/%s: %w", name, cfg.Arch, err)
-		}
-		rep := power.Compute(stats.Activity(), power.FlywheelShape(), tech)
-		res.TimePS, res.Cycles, res.Retired, res.IPC = stats.TimePS, stats.Cycles(), stats.Retired, stats.IPC
-		res.Mispredicts, res.BranchAccuracy = stats.Mispredicts, stats.BranchAccuracy
-		res.fillFrontend(stats.CondBranches, stats.Prefetch, stats.Demand)
-		res.ECResidency, res.Divergences, res.TraceStats = stats.ECResidency, stats.Divergences, stats.EC
-		res.EnergyPJ, res.PowerW, res.LeakageFrac = rep.TotalPJ, rep.AvgPowerW, rep.LeakageFrac
-		res.Flywheel = &stats
-	default:
-		return Result{}, fmt.Errorf("sim: unknown architecture %d", cfg.Arch)
-	}
-	return res, nil
+	return simulate(cfg, name, emu.NewStream(ws.machine(), cfg.MaxInstructions), nil, nil, nil)
 }
