@@ -50,9 +50,9 @@ type SuiteMetrics struct {
 	TotalMs    float64 `json:"total_ms"`
 	MsPerJob   float64 `json:"ms_per_job"`
 	JobsPerSec float64 `json:"jobs_per_sec"`
-	// DiskHits / SimRuns split the distinct configurations between the
-	// persistent store (-store) and fresh simulation; without -store,
-	// DiskHits is zero.
+	// DiskHits / SimRuns split the distinct configurations that are not
+	// retimed baselines between the persistent store (-store) and fresh
+	// simulation; without -store, DiskHits is zero.
 	DiskHits uint64 `json:"disk_hits"`
 	SimRuns  uint64 `json:"sim_runs"`
 	// Trace-cache traffic during the suite: runs that replayed a recorded

@@ -349,6 +349,11 @@ func Figure15(opt Options) (*stats.Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	return figure15Table(res), nil
+}
+
+// figure15Table renders the results of figure15Jobs, in job order.
+func figure15Table(res []sim.Result) *stats.Table {
 	tbl := stats.NewTable("Figure 15 — normalized energy at (FE+100%, BE+50%) per node",
 		"bench", "130nm", "90nm", "60nm")
 	avg := make([][]float64, len(Figure15Nodes))
@@ -368,7 +373,7 @@ func Figure15(opt Options) (*stats.Table, error) {
 		avgRow = append(avgRow, stats.F(stats.GeoMean(avg[i]), 3))
 	}
 	tbl.Add(avgRow...)
-	return tbl, nil
+	return tbl
 }
 
 // SuiteJobs lists every run of the Figure 11-15 suite (with duplicates

@@ -5,11 +5,13 @@ package experiments
 // and Table 1, so a future refactor cannot silently flip a conclusion.
 
 import (
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 
 	"flywheel/internal/lab"
+	"flywheel/internal/sim"
 )
 
 // parseCell reads the numeric (possibly %-suffixed) cell at row, col.
@@ -180,9 +182,11 @@ func TestTablesByteIdenticalAcrossWorkerCounts(t *testing.T) {
 }
 
 // TestSuiteSharesBaselinesThroughCache pins the memoization win: the
-// Figure 11-15 suite submits 150 jobs but fewer distinct configurations —
+// Figure 11-15 suite submits 150 jobs but only 120 distinct configurations —
 // the 0.13um baseline repeats across Figures 11, 12-14 and 15, and the
-// sweep's (FE+100%, BE+50%) point reappears in Figure 15.
+// sweep's (FE+100%, BE+50%) point reappears in Figure 15 — and of those
+// only 100 simulate: Figure 15's 20 baselines at 0.09 and 0.06um are
+// retimed from the 0.13um baseline.
 func TestSuiteSharesBaselinesThroughCache(t *testing.T) {
 	opt := tinyOptions()
 	opt.Cache = lab.NewCache()
@@ -194,16 +198,51 @@ func TestSuiteSharesBaselinesThroughCache(t *testing.T) {
 	for _, j := range jobs {
 		distinct[j.Key()] = true
 	}
+	if len(distinct) != 120 {
+		t.Fatalf("distinct keys = %d, want 120", len(distinct))
+	}
 	if _, err := lab.Run(jobs, lab.Options{Workers: 4, Cache: opt.Cache}); err != nil {
 		t.Fatal(err)
 	}
-	if got := opt.Cache.Misses(); got != uint64(len(distinct)) {
-		t.Errorf("misses = %d, want %d distinct configurations", got, len(distinct))
+	st := opt.Cache.Stats()
+	if st.Misses != 100 || st.Retimed != 20 || st.Hits != 50 || st.DiskHits != 0 {
+		t.Errorf("misses/retimed/hits/disk hits = %d/%d/%d/%d, want 100/20/50/0",
+			st.Misses, st.Retimed, st.Hits, st.DiskHits)
 	}
-	if got := opt.Cache.Hits(); got != uint64(len(jobs)-len(distinct)) {
-		t.Errorf("hits = %d, want %d duplicate submissions", got, len(jobs)-len(distinct))
+	if st.Entries != len(distinct) {
+		t.Errorf("entries = %d, want %d distinct configurations", st.Entries, len(distinct))
 	}
-	if len(jobs)-len(distinct) < 20 {
-		t.Errorf("only %d duplicate submissions in the suite; expected the baseline columns to repeat", len(jobs)-len(distinct))
+}
+
+// TestFigure15RetimedMatchesSimulated: Figure 15 through the lab, whose
+// 0.09 and 0.06um baselines are retimed from 0.13um, renders the same
+// table — from the same results, field for field — as direct sim.Run
+// simulations of every job.
+func TestFigure15RetimedMatchesSimulated(t *testing.T) {
+	opt := tinyOptions()
+	opt.Cache = lab.NewCache()
+	got, err := Figure15(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := opt.Cache.Stats().Retimed; r != 20 {
+		t.Errorf("retimed = %d, want 20 (10 benchmarks x 2 nodes)", r)
+	}
+	jobs := figure15Jobs(opt.normalize())
+	direct := make([]sim.Result, len(jobs))
+	for i, j := range jobs {
+		if direct[i], err = sim.Run(j.Config()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if want := figure15Table(direct); got.String() != want.String() {
+		t.Errorf("figure 15 through the lab:\n%s\nfrom direct runs:\n%s", got, want)
+	}
+	viaLab, err := lab.Run(jobs, lab.Options{Cache: opt.Cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(viaLab, direct) {
+		t.Error("lab results differ from direct sim.Run results")
 	}
 }

@@ -4,9 +4,13 @@
 // list across a worker pool sized to the machine and memoizes results by a
 // canonical configuration key: the many experiments that share a
 // configuration (e.g. the baseline column repeated across Figures 11-14)
-// simulate exactly once. Results always come back in job order, independent
-// of completion order and worker count, so a sweep renders byte-identically
-// whether it ran on one core or sixty-four.
+// simulate exactly once. A baseline job at any node other than 0.13 µm
+// does not simulate at all: the baseline's cycle behaviour is
+// node-invariant, so the cache retimes the same job's 0.13 µm result to
+// the node (sim.Retime), bit-identically to simulating it. Results always
+// come back in job order, independent of completion order and worker
+// count, so a sweep renders byte-identically whether it ran on one core or
+// sixty-four.
 package lab
 
 import (
@@ -21,6 +25,7 @@ import (
 	"flywheel/internal/cacti"
 	"flywheel/internal/lab/store"
 	"flywheel/internal/mem"
+	"flywheel/internal/power"
 	"flywheel/internal/sim"
 )
 
@@ -116,6 +121,7 @@ type Cache struct {
 	hits     uint64
 	misses   uint64
 	diskHits uint64
+	retimed  uint64
 	inflight int
 
 	disk *store.Store
@@ -205,8 +211,9 @@ func isContextErr(err error) bool {
 	return err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
 }
 
-// fill computes the entry's result — disk tier first, then simulation —
-// and releases the waiters. It is panic-safe: entry.done is closed via
+// fill computes the entry's result — by retiming for a baseline off
+// 0.13 µm, else disk tier first, then simulation — and releases the
+// waiters. It is panic-safe: entry.done is closed via
 // defer no matter how the run ends, and a panic inside the simulator
 // becomes an ordinary error result. Error entries (including recovered
 // panics and pre-run cancellations) are evicted before the waiters are
@@ -225,6 +232,10 @@ func (c *Cache) fill(ctx context.Context, e *entry, key string, j Job) {
 		close(e.done)
 	}()
 
+	if j.Arch == sim.ArchBaseline && j.normalize().Node != cacti.Node130 {
+		c.retime(ctx, e, j)
+		return
+	}
 	if c.disk != nil {
 		if res, ok := c.disk.Get(key); ok {
 			c.mu.Lock()
@@ -253,20 +264,42 @@ func (c *Cache) fill(ctx context.Context, e *entry, key string, j Job) {
 	}
 }
 
-// do is the internal spelling kept for the package's call sites.
-func (c *Cache) do(j Job) (sim.Result, error) { return c.Do(j) }
+// retime fills a baseline entry off 0.13 µm by retiming the same job at
+// 0.13 µm, requested through the cache; that request's error or
+// cancellation becomes the entry's. The store holds only simulations.
+func (c *Cache) retime(ctx context.Context, e *entry, j Job) {
+	if _, err := power.Tech(j.Node); err != nil { // before anything simulates
+		e.err = err
+		return
+	}
+	base := j
+	base.Node = cacti.Node130
+	res, err := c.DoContext(ctx, base)
+	if err == nil {
+		res, err = sim.Retime(res, j.Node)
+	}
+	if err == nil {
+		c.mu.Lock()
+		c.retimed++
+		c.mu.Unlock()
+	}
+	e.res, e.err = res, err
+}
 
 // Stats is a snapshot of the cache counters.
 type Stats struct {
 	// Hits counts requests served from memory, including waits on
 	// in-flight runs. DiskHits counts memory misses served by the
 	// persistent store. Misses counts requests that had to simulate.
-	// For a job list on a fresh in-memory cache,
-	// Hits+DiskHits+Misses == len(jobs) and DiskHits+Misses == the number
-	// of distinct keys, regardless of worker count.
+	// Retimed counts entries filled by retiming a 0.13 µm baseline; that
+	// 0.13 µm request is itself counted as a hit, disk hit or miss. For a
+	// job list on a fresh cache, Hits+DiskHits+Misses == len(jobs) and
+	// DiskHits+Misses+Retimed == the number of distinct keys, regardless
+	// of worker count.
 	Hits     uint64
 	DiskHits uint64
 	Misses   uint64
+	Retimed  uint64
 	// InFlight is the number of computations currently running; Entries
 	// the number of memoized configurations.
 	InFlight int
@@ -281,6 +314,7 @@ func (c *Cache) Stats() Stats {
 		Hits:     c.hits,
 		DiskHits: c.diskHits,
 		Misses:   c.misses,
+		Retimed:  c.retimed,
 		InFlight: c.inflight,
 		Entries:  len(c.entries),
 	}
@@ -296,8 +330,8 @@ func (c *Cache) StatsLine() string {
 	if s.DiskHits+s.Misses > 0 {
 		diskPct = 100 * float64(s.DiskHits) / float64(s.DiskHits+s.Misses)
 	}
-	line := fmt.Sprintf("store: %d requests, %d memory hits, %d disk hits, %d sim runs (%.1f%% disk)",
-		total, s.Hits, s.DiskHits, s.Misses, diskPct)
+	line := fmt.Sprintf("store: %d requests, %d memory hits, %d disk hits, %d sim runs (%.1f%% disk), %d retimed",
+		total, s.Hits, s.DiskHits, s.Misses, diskPct, s.Retimed)
 	if c.disk != nil {
 		entries, bytes := c.disk.Size()
 		line += fmt.Sprintf("; %d entries, %d bytes on disk", entries, bytes)
@@ -381,7 +415,7 @@ func Run(jobs []Job, opt Options) ([]sim.Result, error) {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				results[i], errs[i] = cache.do(jobs[i])
+				results[i], errs[i] = cache.Do(jobs[i])
 				if opt.Progress != nil {
 					progressMu.Lock()
 					done++

@@ -94,26 +94,38 @@ func TestSweepDedupesAcrossRequests(t *testing.T) {
 	}
 }
 
-// TestSweepJobError: an unknown workload yields an error line for its
-// index, complete results for the rest, and a client-side error.
+// TestSweepJobError: a failing job yields an error line for its index,
+// complete results for the rest, and a client-side error. A baseline job
+// at an unknown node fails before anything simulates: only the healthy
+// job counts a miss.
 func TestSweepJobError(t *testing.T) {
-	_, client := startServer(t, lab.NewCache())
-	jobs := []lab.Job{
-		{Workload: "ijpeg", Arch: sim.ArchBaseline, MaxInstructions: 2000},
-		{Workload: "no-such-workload", MaxInstructions: 2000},
-	}
-	lines, err := client.Sweep(labd.SweepRequest{Jobs: jobs})
-	if err == nil || !strings.Contains(err.Error(), "no-such-workload") {
-		t.Fatalf("err = %v, want the unknown-workload failure", err)
-	}
-	if len(lines) != 2 {
-		t.Fatalf("got %d lines despite the per-job error, want 2", len(lines))
-	}
-	if lines[0].Error != "" || lines[0].Result == nil {
-		t.Fatalf("healthy job contaminated: %+v", lines[0])
-	}
-	if lines[1].Error == "" || lines[1].Result != nil {
-		t.Fatalf("failing job not reported: %+v", lines[1])
+	for _, row := range []struct {
+		bad     lab.Job
+		wantErr string
+		misses  uint64
+	}{
+		{lab.Job{Workload: "no-such-workload", MaxInstructions: 2000}, "no-such-workload", 2},
+		{lab.Job{Workload: "ijpeg", Arch: sim.ArchBaseline, Node: 0.1, MaxInstructions: 2000}, "node 0.1", 1},
+	} {
+		cache := lab.NewCache()
+		_, client := startServer(t, cache)
+		jobs := []lab.Job{{Workload: "ijpeg", Arch: sim.ArchBaseline, MaxInstructions: 2000}, row.bad}
+		lines, err := client.Sweep(labd.SweepRequest{Jobs: jobs})
+		if err == nil || !strings.Contains(err.Error(), row.wantErr) {
+			t.Fatalf("err = %v, want a failure naming %q", err, row.wantErr)
+		}
+		if len(lines) != 2 {
+			t.Fatalf("%s: got %d lines despite the per-job error, want 2", row.wantErr, len(lines))
+		}
+		if lines[0].Error != "" || lines[0].Result == nil {
+			t.Fatalf("%s: healthy job contaminated: %+v", row.wantErr, lines[0])
+		}
+		if lines[1].Error == "" || lines[1].Result != nil {
+			t.Fatalf("%s: failing job not reported: %+v", row.wantErr, lines[1])
+		}
+		if got := cache.Misses(); got != row.misses {
+			t.Errorf("%s: misses = %d, want %d", row.wantErr, got, row.misses)
+		}
 	}
 }
 

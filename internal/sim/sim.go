@@ -202,9 +202,6 @@ func simulate(cfg RunConfig, name string, stream pipe.InstSource, w *workload.Wo
 	if err != nil {
 		return Result{}, err
 	}
-	res := Result{Config: cfg}
-	var act power.Activity
-	var shape power.MachineShape
 	switch cfg.Arch {
 	case ArchBaseline:
 		bc := baselineConfig(cfg, period)
@@ -221,11 +218,7 @@ func simulate(cfg RunConfig, name string, stream pipe.InstSource, w *workload.Wo
 		if err != nil {
 			return Result{}, fmt.Errorf("sim %s/%s: %w", name, cfg.Arch, err)
 		}
-		act, shape = baselineActivity(stats), power.BaselineShape()
-		res.TimePS, res.Cycles, res.Retired, res.IPC = stats.TimePS, stats.Cycles, stats.Retired, stats.IPC
-		res.Mispredicts, res.BranchAccuracy = stats.Mispredicts, stats.BranchAccuracy
-		res.fillFrontend(stats.CondBranches, stats.Prefetch, stats.Demand)
-		res.Baseline = &stats
+		return baselineResult(cfg, stats, tech), nil
 	case ArchFlywheel, ArchRegAlloc:
 		fc := flywheelConfig(cfg, period)
 		if editMem != nil {
@@ -241,18 +234,49 @@ func simulate(cfg RunConfig, name string, stream pipe.InstSource, w *workload.Wo
 		if err != nil {
 			return Result{}, fmt.Errorf("sim %s/%s: %w", name, cfg.Arch, err)
 		}
-		act, shape = stats.Activity(), power.FlywheelShape()
+		res := Result{Config: cfg}
 		res.TimePS, res.Cycles, res.Retired, res.IPC = stats.TimePS, stats.Cycles(), stats.Retired, stats.IPC
 		res.Mispredicts, res.BranchAccuracy = stats.Mispredicts, stats.BranchAccuracy
 		res.fillFrontend(stats.CondBranches, stats.Prefetch, stats.Demand)
 		res.ECResidency, res.Divergences, res.TraceStats = stats.ECResidency, stats.Divergences, stats.EC
 		res.Flywheel = &stats
+		res.fillPower(stats.Activity(), power.FlywheelShape(), tech)
+		return res, nil
 	default:
 		return Result{}, fmt.Errorf("sim: unknown architecture %d", cfg.Arch)
 	}
-	rep := power.Compute(act, shape, tech)
-	res.EnergyPJ, res.PowerW, res.LeakageFrac = rep.TotalPJ, rep.AvgPowerW, rep.LeakageFrac
-	return res, nil
+}
+
+// baselineResult assembles a baseline Result from the core's statistics:
+// the shared observables and power.Compute at cfg's node.
+func baselineResult(cfg RunConfig, stats ooo.Stats, tech power.TechParams) Result {
+	res := Result{Config: cfg}
+	res.TimePS, res.Cycles, res.Retired, res.IPC = stats.TimePS, stats.Cycles, stats.Retired, stats.IPC
+	res.Mispredicts, res.BranchAccuracy = stats.Mispredicts, stats.BranchAccuracy
+	res.fillFrontend(stats.CondBranches, stats.Prefetch, stats.Demand)
+	res.Baseline = &stats
+	res.fillPower(baselineActivity(stats), power.BaselineShape(), tech)
+	return res
+}
+
+// Retime returns the baseline result r as Run would at node. Every latency
+// the one-clock baseline models is a whole number of its period (memory is
+// 100 baseline cycles at every node, Table 2), so only TimePS and power
+// depend on the node. Flywheel's boosted periods round per node, so only
+// baseline results retime.
+func Retime(r Result, node cacti.Node) (Result, error) {
+	tech, err := power.Tech(node)
+	if err != nil {
+		return Result{}, err
+	}
+	if r.Config.Arch != ArchBaseline || r.Baseline == nil {
+		return Result{}, fmt.Errorf("sim: cannot retime a %s result", r.Config.Arch)
+	}
+	stats := *r.Baseline
+	stats.TimePS = int64(stats.Cycles) * cacti.BaselinePeriodPS(node)
+	cfg := r.Config
+	cfg.Node = node
+	return baselineResult(cfg, stats, tech), nil
 }
 
 func baselineConfig(cfg RunConfig, period int64) ooo.Config {
@@ -298,6 +322,12 @@ func (r *Result) fillFrontend(cond uint64, pf mem.PrefetchStats, dm mem.DemandSt
 	r.PrefetchCoverage = pf.Coverage()
 	r.AvgDataCycles = dm.AvgDataCycles()
 	r.DemandL2HitRate = dm.L2HitRate()
+}
+
+// fillPower attaches the energy model's report for the run's activity.
+func (r *Result) fillPower(act power.Activity, shape power.MachineShape, tech power.TechParams) {
+	rep := power.Compute(act, shape, tech)
+	r.EnergyPJ, r.PowerW, r.LeakageFrac = rep.TotalPJ, rep.AvgPowerW, rep.LeakageFrac
 }
 
 // baselineActivity converts baseline statistics into the power model's
